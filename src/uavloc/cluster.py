@@ -61,24 +61,56 @@ def threshold_rssi(obs, min_dbm: float):
     return [o for o in obs if o.rssi >= min_dbm]
 
 
+class SurveyDiameter:
+    """Running maximum pairwise haversine distance of an append-only
+    observation list.
+
+    `update(obs)` folds in obs[seen:], the rows appended since the last call,
+    by computing only their distances to every row. Max is order-free and the
+    haversine expression gives the same bits for (i, j) and (j, i), so the
+    result equals a full recompute over obs bit for bit.
+    """
+
+    def __init__(self):
+        self.lat = np.empty(0)
+        self.lon = np.empty(0)
+        self.value = 0.0
+
+    def update(self, obs) -> float:
+        seen = len(self.lat)
+        if seen == len(obs):
+            return self.value
+        new_lat = np.radians([o.pos.lat for o in obs[seen:]])
+        new_lon = np.radians([o.pos.lon for o in obs[seen:]])
+        lat = self.lat = np.concatenate([self.lat, new_lat])
+        lon = self.lon = np.concatenate([self.lon, new_lon])
+        dlat = new_lat[:, None] - lat[None, :]
+        dlon = new_lon[:, None] - lon[None, :]
+        h = (np.sin(dlat / 2.0) ** 2
+             + np.cos(new_lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlon / 2.0) ** 2)
+        d = float(2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.minimum(1.0, h))).max())
+        self.value = max(self.value, d)
+        return self.value
+
+
 def max_pairwise_distance(obs) -> float:
     """Maximum pairwise haversine distance over observation positions."""
-    lat = np.radians([o.pos.lat for o in obs])
-    lon = np.radians([o.pos.lon for o in obs])
-    dlat = lat[:, None] - lat[None, :]
-    dlon = lon[:, None] - lon[None, :]
-    h = (np.sin(dlat / 2.0) ** 2
-         + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlon / 2.0) ** 2)
-    return float(2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.minimum(1.0, h))).max())
+    return SurveyDiameter().update(obs)
 
 
-def compute_k(obs, ma: float) -> int:
-    """Cluster count: ceil(max pairwise distance / ma), clamped to [1, N]."""
+def compute_k(obs, ma: float, diameter: SurveyDiameter | None = None) -> int:
+    """Cluster count: ceil(max pairwise distance / ma), clamped to [1, N].
+
+    A caller whose obs only grows by appending passes the same `diameter`
+    on every call, so each call pays only for the rows added since the last.
+    """
     if not obs:
         raise ValueError("need at least one observation")
     if not ma > 0:
         raise ValueError(f"ma must be positive, got {ma}")
-    d_max = max_pairwise_distance(obs)
+    if diameter is None:
+        diameter = SurveyDiameter()
+    d_max = diameter.update(obs)
     return max(1, min(len(obs), math.ceil(d_max / ma)))
 
 
@@ -98,30 +130,38 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return centers
 
 
+def _sq_dists(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances from each point to each center."""
+    dx = pts[:, 0:1] - centers[:, 0]
+    dy = pts[:, 1:2] - centers[:, 1]
+    return dx * dx + dy * dy
+
+
 def _lloyd(pts: np.ndarray, centers: np.ndarray):
     """Lloyd iterations; returns (centers, labels, sse_history)."""
     k = len(centers)
+    rows = np.arange(len(pts))
     sse_history = []
-    labels = np.zeros(len(pts), dtype=int)
     for _ in range(KMEANS_MAX_ITER):
-        d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        d2 = _sq_dists(pts, centers)
         labels = np.argmin(d2, axis=1)
-        sse_history.append(float(d2[np.arange(len(pts)), labels].sum()))
-        new_centers = centers.copy()
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                new_centers[j] = pts[mask].mean(axis=0)
-            else:
-                # reseed empty cluster at the point farthest from its centroid
-                far = np.argmax(d2[np.arange(len(pts)), labels])
-                new_centers[j] = pts[far]
+        nearest = d2[rows, labels]
+        sse_history.append(float(nearest.sum()))
+        # bincount sums members in index order, as a per-cluster mean does
+        counts = np.bincount(labels, minlength=k)
+        filled = counts > 0
+        new_centers = np.empty_like(centers)
+        for axis in (0, 1):
+            sums = np.bincount(labels, weights=pts[:, axis], minlength=k)
+            new_centers[filled, axis] = sums[filled] / counts[filled]
+        if not filled.all():
+            # reseed empty clusters at the point farthest from its centroid
+            new_centers[~filled] = pts[np.argmax(nearest)]
         shift = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
         centers = new_centers
         if shift < KMEANS_TOL_M:
             break
-    d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    labels = np.argmin(d2, axis=1)
+    labels = np.argmin(_sq_dists(pts, centers), axis=1)
     return centers, labels, sse_history
 
 

@@ -1,9 +1,16 @@
 """Iterative localization loop.
 
 Observations stream in; every batch_size samples an iteration runs the
-full threshold -> cluster -> multilateration pipeline over ALL samples
-collected so far. The final answer is the estimate from the iteration
-with the smallest least-squares residual.
+threshold -> cluster -> multilateration pipeline over all samples collected
+so far. The final answer is the estimate from the iteration with the
+smallest least-squares residual.
+
+Work that only grows with the window is carried across iterations: each
+iteration thresholds and projects only the samples that arrived since the
+last one, appending them to the kept samples and their planar projections,
+and folds only their distances into the running survey diameter. Clustering
+(k-means++ init and Lloyd), the size filter, reference selection and the SVD
+solve still run over all kept samples every iteration.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 from . import cluster as cl
 from .errors import (DegenerateGeometryError, InsufficientReferencesError,
                      NoEstimateError, ObservationOrderError)
-from .geo import GeoPoint, project
+from .geo import GeoPoint, PlanarPoint, project
 from .lateration import estimate_position
 from .pathloss import Calibration
 
@@ -76,6 +83,11 @@ class Estimator:
         self.observations: list[cl.Observation] = []
         self.history: list[IterationResult] = []
         self.origin: GeoPoint | None = None
+        # carried across iterations; observations[:_seen] are folded in
+        self._seen = 0
+        self._kept: list[cl.Observation] = []
+        self._points: list[PlanarPoint] = []
+        self._diameter = cl.SurveyDiameter()
 
     def ingest(self, o: cl.Observation) -> IterationResult | None:
         """Append one observation; run an iteration on each full batch."""
@@ -94,8 +106,10 @@ class Estimator:
     def run_iteration(self) -> IterationResult:
         """Run one full pipeline pass over all observations so far.
 
-        Pipeline failures (too few clusters, degenerate geometry) are
-        reported as skipped results, never raised.
+        Pipeline failures (too few clusters, degenerate geometry, a sample
+        beyond the projection range) are reported as skipped results, never
+        raised. A sample that cannot be projected leaves the carried state
+        as it was, so every later iteration meets it again and skips too.
         """
         if not self.observations:
             raise ValueError("no observations ingested")
@@ -108,11 +122,18 @@ class Estimator:
                                    estimate=None, residual_rms=None, condition=None,
                                    status="skipped", reason=reason)
 
-        kept = cl.threshold_rssi(self.observations, cfg.min_dbm)
+        new_kept = cl.threshold_rssi(self.observations[self._seen:], cfg.min_dbm)
+        try:
+            new_points = [project(self.origin, o.pos) for o in new_kept]
+        except ValueError as e:
+            return skipped(str(e))
+        self._seen = n_obs
+        self._kept += new_kept
+        self._points += new_points
+        kept, points = self._kept, self._points
         if not kept:
             return skipped("no observations above rssi threshold")
-        k = cl.compute_k(kept, cfg.ma)
-        points = [project(self.origin, o.pos) for o in kept]
+        k = cl.compute_k(kept, cfg.ma, self._diameter)
         cs = cl.kmeans(points, k, _iteration_seed(cfg.seed, index))
         cs = cl.filter_clusters(cs, cfg.r_thresh_for(index))
         if len(cs.clusters) < 3:

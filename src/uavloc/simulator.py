@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import Observation, ReferenceNode
+from .errors import NoEstimateError
 from .estimator import Estimator, EstimatorConfig
 from .geo import GeoPoint, PlanarPoint, haversine, project, unproject
 from .lateration import estimate_position
@@ -175,7 +176,7 @@ def sweep_ma_log(obs, truth: GeoPoint, ma_values, cfg_template: EstimatorConfig)
         try:
             estimate, _ = est.best_estimate()
             rows.append((ma, evaluate(estimate, truth)))
-        except Exception:
+        except NoEstimateError:
             rows.append((ma, None))
     return rows
 

@@ -146,3 +146,23 @@ def test_config_validation():
         config(r_thresh="bogus")
     assert config(r_thresh="iteration").r_thresh_for(7) == 7
     assert config(r_thresh=2).r_thresh_for(7) == 2
+
+
+def test_far_sample_mid_stream_skips_instead_of_raising():
+    sc = gtu_sim_scenario(seed=7, sigma_db=3.0)
+    obs = simulate_observations(sc, 600.0)
+    cal = Calibration(d0=100.0, p0_dbm=-45.211, n=2.0)
+    clean = Estimator(config(cal=cal, seed=7))
+    for o in obs[:300]:
+        clean.ingest(o)
+    # ~220 km north of the survey: beyond the projection range
+    far = Observation(t=obs[320].t, pos=GeoPoint(obs[320].pos.lat + 2.0, obs[320].pos.lon),
+                      rssi=-60.0)
+    est = Estimator(config(cal=cal, seed=7))
+    for o in obs[:320] + [far] + obs[320:]:
+        est.ingest(o)
+    assert est.history[:6] == clean.history
+    assert len(est.history) > 7
+    for r in est.history[6:]:
+        assert r.status == "skipped" and "projection range" in r.reason
+    assert est.best_estimate() == clean.best_estimate()

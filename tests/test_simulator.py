@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from uavloc.estimator import EstimatorConfig
+from uavloc.errors import NoEstimateError
+from uavloc.estimator import Estimator, EstimatorConfig
 from uavloc.geo import GeoPoint, haversine, project
 from uavloc.pathloss import calibration_from_tx, friis_rssi
 from uavloc.simulator import (SPEED_OF_LIGHT, FlightPlan, SimScenario, TxParams,
                               evaluate, generate_trajectory, gtu_sim_scenario,
-                              run_baseline_svd, simulate_observations, sweep_ma)
+                              run_baseline_svd, simulate_observations, sweep_ma,
+                              sweep_ma_log)
 
 CENTER = GeoPoint(40.8081, 29.3560)
 TX = TxParams(pt_dbm=20.0, gt_db=0.0, gr_db=0.0, wavelength_m=SPEED_OF_LIGHT / 435e6)
@@ -142,3 +144,22 @@ def test_gtu_sim_area():
     sc = gtu_sim_scenario()
     area_km2 = sc.plan.width * sc.plan.height / 1e6
     assert area_km2 == pytest.approx(3.14, abs=0.01)
+
+
+def test_sweep_ma_log_failed_row_only_for_no_estimate(monkeypatch):
+    sc = gtu_sim_scenario(seed=4, sigma_db=3.0)
+    obs = simulate_observations(sc, 300.0)
+    template = EstimatorConfig(ma=130.0, cal=calibration_from_tx(sc.tx, 100.0), seed=4)
+
+    def no_estimate(self):
+        raise NoEstimateError("no successful iterations in history")
+
+    monkeypatch.setattr(Estimator, "best_estimate", no_estimate)
+    assert sweep_ma_log(obs, sc.target, [130.0], template) == [(130.0, None)]
+
+    def broken(self):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(Estimator, "best_estimate", broken)
+    with pytest.raises(RuntimeError, match="boom"):
+        sweep_ma_log(obs, sc.target, [130.0], template)
