@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -14,6 +15,13 @@ from .pathloss import Calibration, rssi_to_distance
 
 KMEANS_TOL_M = 1e-6
 KMEANS_MAX_ITER = 100
+# Relative and absolute widening of the Lloyd pruning test (see _lloyd). The
+# floor keeps the test exact where squared distances would be subnormal.
+LLOYD_MARGIN = 1e-9
+LLOYD_FLOOR_M = 1e-150
+# Chord-length slack of the survey-diameter pruning, on the unit sphere
+# (about 64 nm on the ground; see SurveyDiameter).
+CHORD_MARGIN = 1e-14
 
 
 @dataclass(frozen=True)
@@ -65,15 +73,27 @@ class SurveyDiameter:
     """Running maximum pairwise haversine distance of an append-only
     observation list.
 
-    `update(obs)` folds in obs[seen:], the rows appended since the last call,
-    by computing only their distances to every row. Max is order-free and the
-    haversine expression gives the same bits for (i, j) and (j, i), so the
-    result equals a full recompute over obs bit for bit.
+    `update(obs)` folds in obs[seen:], the rows appended since the last call.
+    Max is order-free and the haversine expression gives the same bits for
+    (i, j) and (j, i), so only the new rows' pairs need looking at. Most of
+    those are pruned by chord length: each row is carried as a unit vector,
+    and the chord between two unit vectors is monotone in their great-circle
+    distance. A batch whose longest chord falls short of the running longest
+    chord by more than CHORD_MARGIN cannot raise the maximum, and returns at
+    once. Otherwise only the pairs within CHORD_MARGIN of the longest chord
+    are passed to the haversine expression. The margin (about 64 nm on the
+    ground) is above the rounding of both distances: a chord computed from
+    sin/cos within 4 ulp is off by less than 4e-15, and the haversine rounding
+    is far smaller for any survey short of about 10 000 km. So a pruned pair
+    never holds the maximum, and the result equals a full recompute over obs
+    bit for bit.
     """
 
     def __init__(self):
         self.lat = np.empty(0)
         self.lon = np.empty(0)
+        self.unit = np.empty((3, 0))
+        self.chord = 0.0  # longest chord seen, on the unit sphere
         self.value = 0.0
 
     def update(self, obs) -> float:
@@ -82,12 +102,28 @@ class SurveyDiameter:
             return self.value
         new_lat = np.radians([o.pos.lat for o in obs[seen:]])
         new_lon = np.radians([o.pos.lon for o in obs[seen:]])
+        cos_lat = np.cos(new_lat)
+        new_unit = np.stack([cos_lat * np.cos(new_lon), cos_lat * np.sin(new_lon),
+                             np.sin(new_lat)])
         lat = self.lat = np.concatenate([self.lat, new_lat])
         lon = self.lon = np.concatenate([self.lon, new_lon])
-        dlat = new_lat[:, None] - lat[None, :]
-        dlon = new_lon[:, None] - lon[None, :]
+        unit = self.unit = np.concatenate([self.unit, new_unit], axis=1)
+        # squared chords, new rows x all rows, in two preallocated buffers
+        c2 = np.zeros((len(new_lat), len(lat)))
+        diff = np.empty_like(c2)
+        for axis in range(3):
+            np.subtract(new_unit[axis][:, None], unit[axis], out=diff)
+            diff *= diff
+            c2 += diff
+        batch_chord = math.sqrt(c2.max())
+        if batch_chord < self.chord - CHORD_MARGIN:
+            return self.value
+        self.chord = max(self.chord, batch_chord)
+        i, j = np.nonzero(c2 >= max(0.0, self.chord - CHORD_MARGIN) ** 2)
+        dlat = new_lat[i] - lat[j]
+        dlon = new_lon[i] - lon[j]
         h = (np.sin(dlat / 2.0) ** 2
-             + np.cos(new_lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlon / 2.0) ** 2)
+             + np.cos(new_lat[i]) * np.cos(lat[j]) * np.sin(dlon / 2.0) ** 2)
         d = float(2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.minimum(1.0, h))).max())
         self.value = max(self.value, d)
         return self.value
@@ -114,70 +150,115 @@ def compute_k(obs, ma: float, diameter: SurveyDiameter | None = None) -> int:
     return max(1, min(len(obs), math.ceil(d_max / ma)))
 
 
+def _columns(pts: np.ndarray):
+    """Contiguous x and y columns of an (n, 2) array."""
+    return np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
+
+
 def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: D^2-weighted sampling of initial centers."""
     n = len(pts)
+    x, y = _columns(pts)
     centers = np.empty((k, 2))
+
+    def sq_dist(c):
+        dx = x - c[0]
+        dy = y - c[1]
+        return dx * dx + dy * dy
+
     centers[0] = pts[rng.integers(n)]
-    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    d2 = sq_dist(centers[0])
     for j in range(1, k):
         total = d2.sum()
         if total == 0.0:
             centers[j] = pts[rng.integers(n)]
         else:
             centers[j] = pts[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
+        d2 = np.minimum(d2, sq_dist(centers[j]))
     return centers
 
 
-def _sq_dists(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _sq_dists(x: np.ndarray, y: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     """(n, k) squared distances from each point to each center."""
-    dx = pts[:, 0:1] - centers[:, 0]
-    dy = pts[:, 1:2] - centers[:, 1]
+    dx = x[:, None] - cx
+    dy = y[:, None] - cy
     return dx * dx + dy * dy
 
 
 def _lloyd(pts: np.ndarray, centers: np.ndarray):
-    """Lloyd iterations; returns (centers, labels, sse_history)."""
+    """Lloyd iterations; returns (centers, labels, sse_history).
+
+    Each point carries a lower bound on its distance to every centre other
+    than its own, and the exact distance to its own centre is recomputed on
+    every step. Only the points whose own distance, widened by LLOYD_MARGIN,
+    reaches that bound get a full row of k distances; for the others no
+    other centre can be as near, so the row's argmin is their current label.
+    After the centres move, every bound drops by the largest centre shift,
+    widened by the same margin. The margin is far above the rounding of the
+    distances and of the accumulated bound updates, and near-ties always take
+    the full row, so labels, centres and SSE are those of the plain loop bit
+    for bit (argmin's first-index tie rule included).
+    """
     k = len(centers)
-    rows = np.arange(len(pts))
+    n = len(pts)
+    x, y = _columns(pts)
+    cx, cy = _columns(centers)
+    labels = np.empty(n, dtype=np.intp)
+    nearest = np.empty(n)
+    lower = np.empty(n)
+    stale = np.arange(n)  # the first step takes a full row everywhere
     sse_history = []
     for _ in range(KMEANS_MAX_ITER):
-        d2 = _sq_dists(pts, centers)
-        labels = np.argmin(d2, axis=1)
-        nearest = d2[rows, labels]
+        if len(stale):
+            d2 = _sq_dists(x[stale], y[stale], cx, cy)
+            own = np.argmin(d2, axis=1)
+            rows = np.arange(len(stale))
+            labels[stale] = own
+            nearest[stale] = d2[rows, own]
+            d2[rows, own] = np.inf
+            lower[stale] = np.sqrt(d2.min(axis=1))
         sse_history.append(float(nearest.sum()))
         # bincount sums members in index order, as a per-cluster mean does
         counts = np.bincount(labels, minlength=k)
         filled = counts > 0
-        new_centers = np.empty_like(centers)
-        for axis in (0, 1):
-            sums = np.bincount(labels, weights=pts[:, axis], minlength=k)
-            new_centers[filled, axis] = sums[filled] / counts[filled]
+        new_cx, new_cy = (np.divide(np.bincount(labels, weights=col, minlength=k), counts,
+                                    out=np.empty(k), where=filled) for col in (x, y))
         if not filled.all():
             # reseed empty clusters at the point farthest from its centroid
-            new_centers[~filled] = pts[np.argmax(nearest)]
-        shift = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
-        centers = new_centers
+            far = np.argmax(nearest)
+            new_cx[~filled] = x[far]
+            new_cy[~filled] = y[far]
+        ex = new_cx - cx
+        ey = new_cy - cy
+        shift = np.sqrt(ex * ex + ey * ey).max()
+        cx, cy = new_cx, new_cy
         if shift < KMEANS_TOL_M:
             break
-    labels = np.argmin(_sq_dists(pts, centers), axis=1)
-    return centers, labels, sse_history
+        lower -= shift * (1.0 + LLOYD_MARGIN)
+        dx = x - cx[labels]
+        dy = y - cy[labels]
+        nearest = dx * dx + dy * dy
+        stale = np.flatnonzero(np.sqrt(nearest) * (1.0 + LLOYD_MARGIN) + LLOYD_FLOOR_M >= lower)
+    labels = np.argmin(_sq_dists(x, y, cx, cy), axis=1)
+    return np.column_stack([cx, cy]), labels, sse_history
 
 
-def kmeans(points, k: int, seed: int) -> ClusterSet:
-    """Deterministic K-means over planar points (k-means++ init, Lloyd)."""
-    if not 1 <= k <= len(points):
-        raise ValueError(f"k={k} outside [1, {len(points)}]")
-    pts = np.asarray([(p.x, p.y) for p in points], dtype=float)
+def kmeans(pts: np.ndarray, k: int, seed: int) -> ClusterSet:
+    """Deterministic K-means over (n, 2) planar points (k-means++ init, Lloyd).
+
+    Cluster members are ascending row indices into pts.
+    """
+    n = len(pts)
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} outside [1, {n}]")
     rng = np.random.default_rng(seed)
     centers, labels, _ = _lloyd(pts, _kmeans_pp_init(pts, k, rng))
-    clusters = []
-    for j in range(k):
-        members = tuple(int(i) for i in np.flatnonzero(labels == j))
-        if members:
-            clusters.append(Cluster(PlanarPoint(*centers[j]), members))
-    return ClusterSet(tuple(clusters))
+    # one stable argsort lists every cluster's members in index order
+    order = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
+    return ClusterSet(tuple(Cluster(PlanarPoint(*c), tuple(order[start:end]))
+                            for c, start, end in zip(centers.tolist(), [0] + ends, ends)
+                            if end > start))
 
 
 def filter_clusters(cs: ClusterSet, r_thresh: int) -> ClusterSet:
@@ -185,18 +266,27 @@ def filter_clusters(cs: ClusterSet, r_thresh: int) -> ClusterSet:
     return ClusterSet(tuple(c for c in cs.clusters if len(c.members) > r_thresh))
 
 
-def select_reference_nodes(cs: ClusterSet, obs, points, cal: Calibration):
+def select_reference_nodes(cs: ClusterSet, obs, xy: np.ndarray, rssi: np.ndarray,
+                           t: np.ndarray, cal: Calibration):
     """One reference node per cluster: the strongest-RSSI member.
 
-    Ties are broken by earliest timestamp. points[i] must be the planar
-    projection of obs[i] (the same coordinates the clustering ran on).
+    Ties are broken by earliest timestamp, then by member order. Row i of the
+    xy, rssi and t columns belongs to obs[i]; xy holds the planar projections
+    the clustering ran on. One lexsort over all members of all clusters, keyed
+    by cluster, then -rssi, then t, puts each cluster's choice first in its
+    run of members.
     """
+    sizes = np.array([len(c.members) for c in cs.clusters], dtype=np.intp)
+    idx = np.fromiter(chain.from_iterable(c.members for c in cs.clusters),
+                      dtype=np.intp, count=int(sizes.sum()))
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.lexsort((t[idx], -rssi[idx], group))
+    best = idx[order[np.cumsum(sizes) - sizes]]
     refs = []
-    for c in cs.clusters:
-        best = min(c.members, key=lambda i: (-obs[i].rssi, obs[i].t))
-        o = obs[best]
+    for i, pos in zip(best.tolist(), xy[best].tolist()):
+        o = obs[i]
         refs.append(ReferenceNode(
-            pos_planar=points[best],
+            pos_planar=PlanarPoint(*pos),
             pos_geo=o.pos,
             rssi=o.rssi,
             distance=rssi_to_distance(o.rssi, cal),

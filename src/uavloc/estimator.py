@@ -7,23 +7,29 @@ smallest least-squares residual.
 
 Work that only grows with the window is carried across iterations: each
 iteration thresholds and projects only the samples that arrived since the
-last one, appending them to the kept samples and their planar projections,
-and folds only their distances into the running survey diameter. Clustering
-(k-means++ init and Lloyd), the size filter, reference selection and the SVD
-solve still run over all kept samples every iteration.
+last one, and appends them to the kept samples and to their columns (planar
+positions as one (N, 2) array, RSSI and timestamps). Clustering (k-means++
+init and Lloyd), the size filter, reference selection and the SVD solve run
+over all kept samples every iteration, but two stages skip what cannot change
+their answer (see `cluster`): the survey diameter looks only at the new
+samples' pairs whose chord is within a rounding margin of the longest, and
+Lloyd computes a full row of centre distances only for the points whose
+triangle-inequality bound does not rule out a change of label. Both margins
+dominate float rounding, so every reported bit is that of the full
+computation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import cluster as cl
 from .errors import (DegenerateGeometryError, InsufficientReferencesError,
                      NoEstimateError, ObservationOrderError)
-from .geo import GeoPoint, PlanarPoint, project
+from .geo import GeoPoint, project
 from .lateration import estimate_position
 from .pathloss import Calibration
 
@@ -86,7 +92,9 @@ class Estimator:
         # carried across iterations; observations[:_seen] are folded in
         self._seen = 0
         self._kept: list[cl.Observation] = []
-        self._points: list[PlanarPoint] = []
+        self._xy = np.empty((0, 2))  # planar positions of _kept
+        self._rssi = np.empty(0)
+        self._t = np.empty(0)
         self._diameter = cl.SurveyDiameter()
 
     def ingest(self, o: cl.Observation) -> IterationResult | None:
@@ -129,16 +137,19 @@ class Estimator:
             return skipped(str(e))
         self._seen = n_obs
         self._kept += new_kept
-        self._points += new_points
-        kept, points = self._kept, self._points
+        self._xy = np.concatenate([self._xy, np.array([(p.x, p.y) for p in new_points],
+                                                      dtype=float).reshape(-1, 2)])
+        self._rssi = np.concatenate([self._rssi, [o.rssi for o in new_kept]])
+        self._t = np.concatenate([self._t, [o.t for o in new_kept]])
+        kept = self._kept
         if not kept:
             return skipped("no observations above rssi threshold")
         k = cl.compute_k(kept, cfg.ma, self._diameter)
-        cs = cl.kmeans(points, k, _iteration_seed(cfg.seed, index))
+        cs = cl.kmeans(self._xy, k, _iteration_seed(cfg.seed, index))
         cs = cl.filter_clusters(cs, cfg.r_thresh_for(index))
         if len(cs.clusters) < 3:
             return skipped(f"only {len(cs.clusters)} clusters survive size filter")
-        refs = cl.select_reference_nodes(cs, kept, points, cfg.cal)
+        refs = cl.select_reference_nodes(cs, kept, self._xy, self._rssi, self._t, cfg.cal)
         try:
             estimate, residual_rms, condition = estimate_position(refs, self.origin)
         except (InsufficientReferencesError, DegenerateGeometryError) as e:

@@ -9,7 +9,6 @@ sigma=<dB>`, and `# target <lat>,<lon>`.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -17,9 +16,9 @@ from dataclasses import dataclass, field
 
 from .cluster import Observation
 from .errors import LocalizationError, LogFormatError, NoEstimateError
-from .estimator import R_THRESH_ITERATION, Estimator, EstimatorConfig
+from .estimator import R_THRESH_ITERATION, EstimatorConfig
 from .geo import GeoPoint, haversine
-from .pathloss import Calibration, fit_exponent
+from .pathloss import Calibration, calibration_from_tx, fit_exponent
 from .simulator import (SCENARIOS, evaluate, run_baseline_svd, run_estimator,
                         simulate_observations, sweep_ma_log)
 
@@ -195,6 +194,15 @@ def _add_cal_flags(p):
     p.add_argument("--sigma", type=float, help="shadowing std-dev (dB)")
 
 
+def _add_run_flags(p):
+    """Estimator and scoring flags shared by `estimate` and `sweep-ma`."""
+    p.add_argument("--batch", type=int, default=50)
+    p.add_argument("--min-rssi", type=float)
+    p.add_argument("--r-thresh", type=_r_thresh, default=R_THRESH_ITERATION)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--truth", type=_parse_latlon)
+
+
 def _resolve_cal(args, log: ObservationLog | None) -> Calibration:
     base = log.cal if log is not None else None
     d0 = args.d0 if args.d0 is not None else (base.d0 if base else None)
@@ -207,9 +215,9 @@ def _resolve_cal(args, log: ObservationLog | None) -> Calibration:
     return Calibration(d0=d0, p0_dbm=p0, n=n, sigma_db=sigma)
 
 
-def _estimator_config(args, cal: Calibration) -> EstimatorConfig:
+def _estimator_config(args, cal: Calibration, ma: float) -> EstimatorConfig:
     return EstimatorConfig(
-        ma=args.ma, cal=cal, batch_size=args.batch,
+        ma=ma, cal=cal, batch_size=args.batch,
         min_dbm=args.min_rssi if args.min_rssi is not None else -math.inf,
         r_thresh=args.r_thresh, seed=args.seed)
 
@@ -236,7 +244,6 @@ def cmd_simulate(args) -> int:
                                   sigma_db=args.sigma if args.sigma is not None else 3.0)
     duration = args.duration if args.duration else sc.plan.path_length() / sc.plan.speed
     obs = simulate_observations(sc, duration)
-    from .pathloss import calibration_from_tx
     cal = calibration_from_tx(sc.tx, d0=100.0, sigma_db=sc.sigma_db)
     log = ObservationLog(rows=obs, survey_id=f"{args.scenario} seed={args.seed}",
                          cal=cal,
@@ -249,7 +256,7 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     log = parse_log(args.obs)
     cal = _resolve_cal(args, log)
-    est = run_estimator(log.rows, _estimator_config(args, cal))
+    est = run_estimator(log.rows, _estimator_config(args, cal, args.ma))
     truth = args.truth
     report = RunReport(
         config={"ma": args.ma, "batch_size": args.batch, "min_rssi": args.min_rssi,
@@ -301,10 +308,7 @@ def cmd_sweep_ma(args) -> int:
         truth = _parse_latlon(log.meta["target"])
     if truth is None:
         raise LocalizationError("sweep-ma needs --truth (or a '# target' line in the log)")
-    template = EstimatorConfig(
-        ma=args.ma_values[0], cal=cal, batch_size=args.batch,
-        min_dbm=args.min_rssi if args.min_rssi is not None else -math.inf,
-        r_thresh=args.r_thresh, seed=args.seed)
+    template = _estimator_config(args, cal, args.ma_values[0])
     rows = sweep_ma_log(log.rows, truth, args.ma_values, template)
     lines = ["ma_m,error_m"]
     for ma, err in rows:
@@ -353,11 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="run the clustered iterative estimator")
     p.add_argument("--obs", required=True)
     p.add_argument("--ma", type=_positive, default=130.0)
-    p.add_argument("--batch", type=int, default=50)
-    p.add_argument("--min-rssi", type=float)
-    p.add_argument("--r-thresh", type=_r_thresh, default=R_THRESH_ITERATION)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--truth", type=_parse_latlon)
+    _add_run_flags(p)
     p.add_argument("--out")
     _add_cal_flags(p)
     p.set_defaults(func=cmd_estimate)
@@ -373,11 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs", required=True)
     p.add_argument("--ma-values", type=_ma_list,
                    default=[50.0, 70.0, 90.0, 110.0, 130.0, 150.0, 170.0, 190.0])
-    p.add_argument("--batch", type=int, default=50)
-    p.add_argument("--min-rssi", type=float)
-    p.add_argument("--r-thresh", type=_r_thresh, default=R_THRESH_ITERATION)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--truth", type=_parse_latlon)
+    _add_run_flags(p)
     p.add_argument("--out")
     _add_cal_flags(p)
     p.set_defaults(func=cmd_sweep_ma)

@@ -111,9 +111,3 @@ def fit_exponent(samples, d0: float) -> Calibration:
     sigma = float(np.sqrt(np.sum(resid ** 2) / dof)) if dof > 0 else 0.0
     return Calibration(d0=d0, p0_dbm=float(p0), n=float(n), sigma_db=sigma)
 
-
-def quantize_rssi(pr_dbm: float, step_db: float = 0.5,
-                  lo_dbm: float = -120.0, hi_dbm: float = -10.0) -> float:
-    """Optional sensor model: quantize to step_db and clamp to the linear range."""
-    q = round(pr_dbm / step_db) * step_db
-    return min(hi_dbm, max(lo_dbm, q))

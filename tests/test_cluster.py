@@ -16,6 +16,12 @@ def obs_at(x, y, rssi, t=0.0):
     return Observation(t=t, pos=unproject(ORIGIN, PlanarPoint(x, y)), rssi=rssi)
 
 
+def columns(obs):
+    """Planar positions, RSSI and timestamps of obs, as the estimator carries them."""
+    xy = np.array([(p.x, p.y) for p in (project(ORIGIN, o.pos) for o in obs)])
+    return xy, np.array([o.rssi for o in obs]), np.array([o.t for o in obs])
+
+
 def test_threshold_disabled():
     obs = [obs_at(0, 0, -90.0), obs_at(1, 0, -121.0)]
     assert threshold_rssi(obs, float("-inf")) == obs
@@ -67,7 +73,7 @@ def test_max_pairwise_distance_matches_scalar():
 
 
 def test_kmeans_k_equals_n():
-    pts = [PlanarPoint(float(i * 100), 0.0) for i in range(6)]
+    pts = np.array([(float(i * 100), 0.0) for i in range(6)])
     cs = kmeans(pts, 6, seed=0)
     assert len(cs.clusters) == 6
     assert all(len(c.members) == 1 for c in cs.clusters)
@@ -75,29 +81,29 @@ def test_kmeans_k_equals_n():
 
 def test_kmeans_two_blobs():
     rng = np.random.default_rng(8)
-    blob_a = [PlanarPoint(rng.normal(0, 5), rng.normal(0, 5)) for _ in range(30)]
-    blob_b = [PlanarPoint(rng.normal(2000, 5), rng.normal(0, 5)) for _ in range(30)]
-    cs = kmeans(blob_a + blob_b, 2, seed=1)
+    blob_a = [(rng.normal(0, 5), rng.normal(0, 5)) for _ in range(30)]
+    blob_b = [(rng.normal(2000, 5), rng.normal(0, 5)) for _ in range(30)]
+    cs = kmeans(np.array(blob_a + blob_b), 2, seed=1)
     groups = sorted(tuple(sorted(c.members)) for c in cs.clusters)
     assert groups == [tuple(range(30)), tuple(range(30, 60))]
 
 
 def test_kmeans_deterministic():
     rng = np.random.default_rng(9)
-    pts = [PlanarPoint(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(80)]
+    pts = np.array([(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(80)])
     assert kmeans(pts, 5, seed=42) == kmeans(pts, 5, seed=42)
 
 
 def test_kmeans_partition():
     rng = np.random.default_rng(10)
-    pts = [PlanarPoint(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(100)]
+    pts = np.array([(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(100)])
     cs = kmeans(pts, 7, seed=3)
     all_members = sorted(i for c in cs.clusters for i in c.members)
     assert all_members == list(range(100))
 
 
 def test_kmeans_rejects_bad_k():
-    pts = [PlanarPoint(0.0, 0.0), PlanarPoint(1.0, 1.0)]
+    pts = np.array([(0.0, 0.0), (1.0, 1.0)])
     with pytest.raises(ValueError):
         kmeans(pts, 3, seed=0)
     with pytest.raises(ValueError):
@@ -128,9 +134,8 @@ def test_filter_clusters():
 def test_select_reference_nodes_max_rssi():
     from uavloc.cluster import Cluster
     obs = [obs_at(0, 0, -80.0, t=0), obs_at(10, 0, -60.0, t=1), obs_at(20, 0, -75.0, t=2)]
-    points = [project(ORIGIN, o.pos) for o in obs]
     cs = ClusterSet((Cluster(PlanarPoint(10, 0), (0, 1, 2)),))
-    refs = select_reference_nodes(cs, obs, points, CAL)
+    refs = select_reference_nodes(cs, obs, *columns(obs), CAL)
     assert len(refs) == 1
     assert refs[0].rssi == -60.0
     assert refs[0].pos_geo == obs[1].pos
@@ -139,9 +144,8 @@ def test_select_reference_nodes_max_rssi():
 def test_select_reference_nodes_tie_breaks_earliest():
     from uavloc.cluster import Cluster
     obs = [obs_at(0, 0, -60.0, t=3.0), obs_at(10, 0, -60.0, t=9.0)]
-    points = [project(ORIGIN, o.pos) for o in obs]
     cs = ClusterSet((Cluster(PlanarPoint(5, 0), (0, 1)),))
-    refs = select_reference_nodes(cs, obs, points, CAL)
+    refs = select_reference_nodes(cs, obs, *columns(obs), CAL)
     assert refs[0].pos_geo == obs[0].pos
 
 
@@ -150,7 +154,7 @@ def test_select_reference_nodes_singletons():
     obs = [obs_at(0, 0, -70.0, t=0), obs_at(500, 0, -65.0, t=1)]
     points = [project(ORIGIN, o.pos) for o in obs]
     cs = ClusterSet((Cluster(points[0], (0,)), Cluster(points[1], (1,))))
-    refs = select_reference_nodes(cs, obs, points, CAL)
+    refs = select_reference_nodes(cs, obs, *columns(obs), CAL)
     assert [r.rssi for r in refs] == [-70.0, -65.0]
     # distance comes straight from the inversion
     assert refs[0].distance == pytest.approx(10.0 ** (25.0 / 20.0) * 100.0, rel=1e-12)

@@ -1,17 +1,21 @@
-"""Bit-exact properties of the incremental estimator core.
+"""Bit-exact properties of the incremental, pruned estimator core.
 
-The survey diameter is folded in batch by batch and Lloyd's centres come from
-bincount sums; both must give exactly the bits of a full recompute. The
-oracles below are the full-recompute implementations they replaced.
+The survey diameter is folded in batch by batch and pruned by chord length,
+Lloyd skips the distance rows its bounds rule out and takes centres from
+bincount sums, and reference selection is one lexsort; all must give exactly
+the bits of the full computation. The oracles below are the full-computation
+implementations they replaced.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavloc.cluster import (KMEANS_MAX_ITER, KMEANS_TOL_M, Observation, SurveyDiameter,
-                            _lloyd, max_pairwise_distance)
-from uavloc.geo import EARTH_RADIUS_M, GeoPoint
+from uavloc.cluster import (KMEANS_MAX_ITER, KMEANS_TOL_M, Cluster, ClusterSet, Observation,
+                            SurveyDiameter, _kmeans_pp_init, _lloyd, kmeans,
+                            max_pairwise_distance, select_reference_nodes)
+from uavloc.geo import EARTH_RADIUS_M, GeoPoint, PlanarPoint
+from uavloc.pathloss import Calibration, rssi_to_distance
 
 
 def diameter_oracle(obs) -> float:
@@ -48,6 +52,22 @@ def lloyd_oracle(pts, centers):
     d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
     labels = np.argmin(d2, axis=1)
     return centers, labels, sse_history
+
+
+def kmeans_pp_oracle(pts, k, rng):
+    """k-means++ seeding with d^2 as a row sum of squares over an (n, 2) array."""
+    n = len(pts)
+    centers = np.empty((k, 2))
+    centers[0] = pts[rng.integers(n)]
+    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total == 0.0:
+            centers[j] = pts[rng.integers(n)]
+        else:
+            centers[j] = pts[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
+    return centers
 
 
 def bits(a):
@@ -94,6 +114,18 @@ def test_lloyd_matches_mask_and_mean_loop(case):
     assert_same_lloyd(_lloyd(pts, centers.copy()), lloyd_oracle(pts, centers.copy()))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(coords, coords), min_size=n, max_size=n),
+    st.integers(1, n), st.integers(0, 2**32 - 1))))
+def test_kmeans_pp_init_matches_row_sum_oracle(case):
+    pts, k, seed = case
+    pts = np.asarray(pts, dtype=float)
+    got = _kmeans_pp_init(pts, k, np.random.default_rng(seed))
+    want = kmeans_pp_oracle(pts, k, np.random.default_rng(seed))
+    assert np.array_equal(bits(got), bits(want))
+
+
 def test_lloyd_reseeds_empty_cluster_like_the_loop():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [10.0, 10.0]])
     centers = np.array([[0.0, 0.0], [1000.0, 1000.0], [-900.0, 50.0]])
@@ -101,3 +133,98 @@ def test_lloyd_reseeds_empty_cluster_like_the_loop():
     assert_same_lloyd(got, lloyd_oracle(pts, centers.copy()))
     # both far centres start empty and are reseeded at the farthest point
     assert (got[0] == [10.0, 10.0]).all(axis=1).any()
+
+
+grid = st.integers(-6, 6).map(float)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(grid, grid), min_size=n, max_size=n),
+    st.lists(st.tuples(grid, grid), min_size=1, max_size=min(n, 6)))))
+def test_lloyd_exact_ties_on_integer_grid(case):
+    # integer coordinates give exactly equal distances, so argmin's
+    # first-index rule decides labels; the pruned loop must reproduce it
+    pts, centers = (np.asarray(a, dtype=float) for a in case)
+    assert_same_lloyd(_lloyd(pts, centers.copy()), lloyd_oracle(pts, centers.copy()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(coords, coords), min_size=1, max_size=40),
+       st.tuples(coords, coords))
+def test_lloyd_single_centre(pts, center):
+    pts, centers = np.asarray(pts, dtype=float), np.asarray([center], dtype=float)
+    assert_same_lloyd(_lloyd(pts, centers.copy()), lloyd_oracle(pts, centers.copy()))
+
+
+def batches(obs, cuts):
+    """Prefixes of obs that grow by the given steps, then the whole list."""
+    end = 0
+    for step in cuts:
+        end = min(len(obs), end + step)
+        yield obs[:end]
+    yield obs
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from([1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10]),
+       st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=40),
+       st.lists(st.integers(0, 12), max_size=8))
+def test_pruned_diameter_equals_full_matrix_at_fine_spacings(spacing, steps, cuts):
+    # points on a fine lattice repeat exactly (duplicates) and give many
+    # near-equal chords, the cases where chord pruning could cut too deep
+    obs = [Observation(t=float(i), pos=GeoPoint(40.8 + a * spacing, 29.35 + b * spacing),
+                       rssi=-60.0) for i, (a, b) in enumerate(steps)]
+    d = SurveyDiameter()
+    for kept in batches(obs, cuts):
+        if kept:
+            d.update(kept)
+            assert d.value.hex() == diameter_oracle(kept).hex()
+
+
+def select_oracle(cs, obs, cal):
+    """Per-cluster min over members, keyed by (-rssi, t)."""
+    refs = []
+    for c in cs.clusters:
+        best = min(c.members, key=lambda i: (-obs[i].rssi, obs[i].t))
+        refs.append((best, obs[best].rssi, rssi_to_distance(obs[best].rssi, cal)))
+    return refs
+
+
+CAL = Calibration(d0=100.0, p0_dbm=-45.0, n=2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.integers(-70, -60).map(float), st.integers(0, 5).map(float)),
+             min_size=n, max_size=n),
+    st.lists(st.integers(0, 4), min_size=n, max_size=n))))
+def test_lexsort_reference_selection_matches_min_loop(case):
+    # few distinct RSSI values and timestamps force ties on both keys; the
+    # timestamps are not sorted, so the t key is not implied by member order
+    samples, assign = case
+    obs = [Observation(t=t, pos=GeoPoint(40.8, 29.35), rssi=rssi) for rssi, t in samples]
+    cs = ClusterSet(tuple(Cluster(PlanarPoint(0.0, 0.0), members) for members in (
+        tuple(i for i, a in enumerate(assign) if a == g) for g in range(5)) if members))
+    xy = np.arange(2.0 * len(obs)).reshape(-1, 2)
+    rssi = np.array([o.rssi for o in obs])
+    times = np.array([o.t for o in obs])
+    got = select_reference_nodes(cs, obs, xy, rssi, times, CAL)
+    want = select_oracle(cs, obs, CAL)
+    assert len(got) == len(want)
+    for ref, (best, best_rssi, distance) in zip(got, want):
+        assert ref.pos_planar == PlanarPoint(*xy[best])
+        assert ref.pos_geo == obs[best].pos
+        assert ref.rssi == best_rssi and ref.distance == distance
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(coords, coords), min_size=n, max_size=n),
+    st.integers(1, n), st.integers(0, 2**32 - 1))))
+def test_kmeans_returns_a_partition(case):
+    pts, k, seed = case
+    cs = kmeans(np.asarray(pts, dtype=float), k, seed)
+    members = [i for c in cs.clusters for i in c.members]
+    assert sorted(members) == list(range(len(pts)))
+    assert all(c.members and list(c.members) == sorted(c.members) for c in cs.clusters)

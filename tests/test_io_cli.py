@@ -6,8 +6,8 @@ import pytest
 from uavloc.cluster import Observation
 from uavloc.errors import LogFormatError
 from uavloc.geo import GeoPoint
-from uavloc.io_cli import (ObservationLog, RunReport, main, parse_log, read_report,
-                           write_log, write_report)
+from uavloc.io_cli import (ObservationLog, RunReport, build_parser, main, parse_log,
+                           read_report, write_log, write_report)
 from uavloc.pathloss import Calibration
 
 
@@ -203,3 +203,17 @@ def test_cli_sweep_ma(tmp_path):
     lines = table.read_text().strip().splitlines()
     assert lines[0] == "ma_m,error_m"
     assert len(lines) == 4
+
+
+def test_estimate_and_sweep_ma_parse_shared_flags_alike():
+    shared = ["--obs", "obs.csv", "--batch", "25", "--min-rssi", "-46", "--r-thresh", "1",
+              "--seed", "7", "--truth", "40.8,29.35", "--p0", "-40", "--sigma", "2"]
+    parser = build_parser()
+    est = vars(parser.parse_args(["estimate"] + shared))
+    sweep = vars(parser.parse_args(["sweep-ma"] + shared))
+    keys = ("obs", "batch", "min_rssi", "r_thresh", "seed", "truth", "d0", "p0", "n", "sigma")
+    assert {k: est[k] for k in keys} == {k: sweep[k] for k in keys}
+    assert est["truth"] == GeoPoint(40.8, 29.35) and est["r_thresh"] == 1
+    defaults = (vars(parser.parse_args(["estimate", "--obs", "x"])),
+                vars(parser.parse_args(["sweep-ma", "--obs", "x"])))
+    assert {k: defaults[0][k] for k in keys} == {k: defaults[1][k] for k in keys}

@@ -5,7 +5,7 @@ import pytest
 
 from uavloc.errors import DegenerateFitError
 from uavloc.pathloss import (Calibration, TxParams, calibration_from_tx, fit_exponent,
-                             friis_rssi, quantize_rssi, rssi_to_distance,
+                             friis_rssi, rssi_to_distance,
                              sample_shadowed_rssi)
 
 TX_435 = TxParams(pt_dbm=20.0, gt_db=0.0, gr_db=0.0, wavelength_m=0.6897)
@@ -119,8 +119,3 @@ def test_calibration_validation():
     with pytest.raises(ValueError):
         Calibration(d0=100.0, p0_dbm=-40.0, n=2.0, sigma_db=-1.0)
 
-
-def test_quantize_rssi():
-    assert quantize_rssi(-87.26) == -87.5
-    assert quantize_rssi(-5.0) == -10.0
-    assert quantize_rssi(-140.0) == -120.0
