@@ -40,14 +40,8 @@ class Observation:
 
 
 @dataclass(frozen=True)
-class Cluster:
-    centroid: PlanarPoint
-    members: tuple  # indices into the clustered observation list
-
-
-@dataclass(frozen=True)
 class ClusterSet:
-    clusters: tuple
+    clusters: tuple  # one ascending tuple of member indices per cluster
 
 
 @dataclass(frozen=True)
@@ -129,11 +123,6 @@ class SurveyDiameter:
         return self.value
 
 
-def max_pairwise_distance(obs) -> float:
-    """Maximum pairwise haversine distance over observation positions."""
-    return SurveyDiameter().update(obs)
-
-
 def compute_k(obs, ma: float, diameter: SurveyDiameter | None = None) -> int:
     """Cluster count: ceil(max pairwise distance / ma), clamped to [1, N].
 
@@ -155,49 +144,45 @@ def _columns(pts: np.ndarray):
     return np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
 
 
+def _sq_dist(ax, ay, bx, by):
+    """Squared planar distance (ax - bx)^2 + (ay - by)^2, broadcast elementwise."""
+    dx = ax - bx
+    dy = ay - by
+    return dx * dx + dy * dy
+
+
 def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: D^2-weighted sampling of initial centers."""
     n = len(pts)
     x, y = _columns(pts)
     centers = np.empty((k, 2))
-
-    def sq_dist(c):
-        dx = x - c[0]
-        dy = y - c[1]
-        return dx * dx + dy * dy
-
     centers[0] = pts[rng.integers(n)]
-    d2 = sq_dist(centers[0])
+    d2 = _sq_dist(x, y, *centers[0])
     for j in range(1, k):
         total = d2.sum()
         if total == 0.0:
             centers[j] = pts[rng.integers(n)]
         else:
             centers[j] = pts[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, sq_dist(centers[j]))
+        d2 = np.minimum(d2, _sq_dist(x, y, *centers[j]))
     return centers
-
-
-def _sq_dists(x: np.ndarray, y: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    """(n, k) squared distances from each point to each center."""
-    dx = x[:, None] - cx
-    dy = y[:, None] - cy
-    return dx * dx + dy * dy
 
 
 def _lloyd(pts: np.ndarray, centers: np.ndarray):
     """Lloyd iterations; returns (centers, labels, sse_history).
 
-    Each point carries a lower bound on its distance to every centre other
-    than its own, and the exact distance to its own centre is recomputed on
-    every step. Only the points whose own distance, widened by LLOYD_MARGIN,
-    reaches that bound get a full row of k distances; for the others no
-    other centre can be as near, so the row's argmin is their current label.
-    After the centres move, every bound drops by the largest centre shift,
-    widened by the same margin. The margin is far above the rounding of the
-    distances and of the accumulated bound updates, and near-ties always take
-    the full row, so labels, centres and SSE are those of the plain loop bit
-    for bit (argmin's first-index tie rule included).
+    Each step labels every point against the current centres and stops once
+    the last move was below KMEANS_TOL_M or KMEANS_MAX_ITER moves were made;
+    otherwise it records the SSE and moves each centre to its members' mean.
+    So the labels returned are those of the centres returned.
+
+    Each point carries its exact distance to its own centre and a lower bound
+    on its distance to every other one, lowered each step by the last move's
+    largest centre shift. A point gets a full row of k distances only on the
+    first step or when its own distance, widened by LLOYD_MARGIN, reaches the
+    bound. The margin is far above the rounding of the distances and of the
+    bound updates, and near-ties take the full row, so labels, centres and
+    SSE are those of the plain loop bit for bit (argmin's first-index rule).
     """
     k = len(centers)
     n = len(pts)
@@ -206,17 +191,24 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray):
     labels = np.empty(n, dtype=np.intp)
     nearest = np.empty(n)
     lower = np.empty(n)
-    stale = np.arange(n)  # the first step takes a full row everywhere
+    stale = np.arange(n)
     sse_history = []
-    for _ in range(KMEANS_MAX_ITER):
+    shift = math.inf
+    for step in range(KMEANS_MAX_ITER + 1):
+        if step:
+            lower -= shift * (1.0 + LLOYD_MARGIN)
+            nearest = _sq_dist(x, y, cx[labels], cy[labels])
+            stale = np.flatnonzero(np.sqrt(nearest) * (1.0 + LLOYD_MARGIN) + LLOYD_FLOOR_M >= lower)
         if len(stale):
-            d2 = _sq_dists(x[stale], y[stale], cx, cy)
+            d2 = _sq_dist(x[stale, None], y[stale, None], cx, cy)
             own = np.argmin(d2, axis=1)
             rows = np.arange(len(stale))
             labels[stale] = own
             nearest[stale] = d2[rows, own]
             d2[rows, own] = np.inf
             lower[stale] = np.sqrt(d2.min(axis=1))
+        if shift < KMEANS_TOL_M or step == KMEANS_MAX_ITER:
+            break
         sse_history.append(float(nearest.sum()))
         # bincount sums members in index order, as a per-cluster mean does
         counts = np.bincount(labels, minlength=k)
@@ -228,18 +220,8 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray):
             far = np.argmax(nearest)
             new_cx[~filled] = x[far]
             new_cy[~filled] = y[far]
-        ex = new_cx - cx
-        ey = new_cy - cy
-        shift = np.sqrt(ex * ex + ey * ey).max()
+        shift = np.sqrt(_sq_dist(new_cx, new_cy, cx, cy)).max()
         cx, cy = new_cx, new_cy
-        if shift < KMEANS_TOL_M:
-            break
-        lower -= shift * (1.0 + LLOYD_MARGIN)
-        dx = x - cx[labels]
-        dy = y - cy[labels]
-        nearest = dx * dx + dy * dy
-        stale = np.flatnonzero(np.sqrt(nearest) * (1.0 + LLOYD_MARGIN) + LLOYD_FLOOR_M >= lower)
-    labels = np.argmin(_sq_dists(x, y, cx, cy), axis=1)
     return np.column_stack([cx, cy]), labels, sse_history
 
 
@@ -252,18 +234,17 @@ def kmeans(pts: np.ndarray, k: int, seed: int) -> ClusterSet:
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
     rng = np.random.default_rng(seed)
-    centers, labels, _ = _lloyd(pts, _kmeans_pp_init(pts, k, rng))
+    _, labels, _ = _lloyd(pts, _kmeans_pp_init(pts, k, rng))
     # one stable argsort lists every cluster's members in index order
     order = np.argsort(labels, kind="stable").tolist()
     ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
-    return ClusterSet(tuple(Cluster(PlanarPoint(*c), tuple(order[start:end]))
-                            for c, start, end in zip(centers.tolist(), [0] + ends, ends)
-                            if end > start))
+    return ClusterSet(tuple(tuple(order[start:end])
+                            for start, end in zip([0] + ends, ends) if end > start))
 
 
 def filter_clusters(cs: ClusterSet, r_thresh: int) -> ClusterSet:
     """Keep clusters with strictly more than r_thresh members."""
-    return ClusterSet(tuple(c for c in cs.clusters if len(c.members) > r_thresh))
+    return ClusterSet(tuple(c for c in cs.clusters if len(c) > r_thresh))
 
 
 def select_reference_nodes(cs: ClusterSet, obs, xy: np.ndarray, rssi: np.ndarray,
@@ -276,8 +257,8 @@ def select_reference_nodes(cs: ClusterSet, obs, xy: np.ndarray, rssi: np.ndarray
     by cluster, then -rssi, then t, puts each cluster's choice first in its
     run of members.
     """
-    sizes = np.array([len(c.members) for c in cs.clusters], dtype=np.intp)
-    idx = np.fromiter(chain.from_iterable(c.members for c in cs.clusters),
+    sizes = np.array([len(c) for c in cs.clusters], dtype=np.intp)
+    idx = np.fromiter(chain.from_iterable(cs.clusters),
                       dtype=np.intp, count=int(sizes.sum()))
     group = np.repeat(np.arange(len(sizes)), sizes)
     order = np.lexsort((t[idx], -rssi[idx], group))

@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .cluster import Observation
 from .errors import LocalizationError, LogFormatError, NoEstimateError
@@ -42,15 +42,6 @@ class RunReport:
     iterations: list
     best: dict | None = None
     baseline: dict | None = None
-
-    def to_dict(self):
-        return {"config": self.config, "iterations": self.iterations,
-                "best": self.best, "baseline": self.baseline}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(config=d["config"], iterations=d["iterations"],
-                   best=d.get("best"), baseline=d.get("baseline"))
 
 
 def _fmt(v: float) -> str:
@@ -141,13 +132,14 @@ def parse_log(path: str) -> ObservationLog:
 
 def write_report(report: RunReport, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(report.to_dict(), f, indent=2)
+        # the fields in declaration order; asdict would deep-copy every record
+        json.dump(vars(report), f, indent=2)
         f.write("\n")
 
 
 def read_report(path: str) -> RunReport:
     with open(path, "r", encoding="utf-8") as f:
-        return RunReport.from_dict(json.load(f))
+        return RunReport(**json.load(f))
 
 
 # ---------------------------------------------------------------- CLI
@@ -182,7 +174,7 @@ def _r_thresh(text: str):
 
 def _ma_list(text: str):
     try:
-        return [float(v) for v in text.split(",")]
+        return [_positive(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated meters, got {text!r}")
 
@@ -235,10 +227,6 @@ def _iteration_record(r, truth: GeoPoint | None):
     return rec
 
 
-def _cal_dict(cal: Calibration):
-    return {"d0": cal.d0, "p0_dbm": cal.p0_dbm, "n": cal.n, "sigma_db": cal.sigma_db}
-
-
 def cmd_simulate(args) -> int:
     sc = SCENARIOS[args.scenario](seed=args.seed,
                                   sigma_db=args.sigma if args.sigma is not None else 3.0)
@@ -260,7 +248,7 @@ def cmd_estimate(args) -> int:
     truth = args.truth
     report = RunReport(
         config={"ma": args.ma, "batch_size": args.batch, "min_rssi": args.min_rssi,
-                "r_thresh": args.r_thresh, "seed": args.seed, "cal": _cal_dict(cal)},
+                "r_thresh": args.r_thresh, "seed": args.seed, "cal": asdict(cal)},
         iterations=[_iteration_record(r, truth) for r in est.history])
     status = 0
     try:
@@ -288,7 +276,7 @@ def cmd_baseline(args) -> int:
     cal = _resolve_cal(args, log)
     origin = log.rows[0].pos
     estimate = run_baseline_svd(log.rows, cal, origin)
-    report = RunReport(config={"cal": _cal_dict(cal)}, iterations=[],
+    report = RunReport(config={"cal": asdict(cal)}, iterations=[],
                        baseline={"lat": estimate.lat, "lon": estimate.lon})
     line = f"baseline estimate: ({_fmt(estimate.lat)}, {_fmt(estimate.lon)})"
     if args.truth is not None:

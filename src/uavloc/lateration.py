@@ -79,7 +79,15 @@ def solve_svd(sys: LinearSystem) -> LaterationSolution:
 def estimate_position(refs, origin: GeoPoint):
     """Solve the multilateration system and map the result back to WGS84.
 
-    Returns (estimate, residual_rms, condition).
+    Returns (estimate, residual_rms, condition). A solution that does not map
+    to a valid coordinate (far off through ill-conditioned anchors) raises
+    DegenerateGeometryError, as a rank-deficient system does.
     """
     sol = solve_svd(build_system(refs))
-    return unproject(origin, PlanarPoint(sol.x, sol.y)), sol.residual_rms, sol.condition
+    try:
+        estimate = unproject(origin, PlanarPoint(sol.x, sol.y))
+    except ValueError as e:
+        raise DegenerateGeometryError(
+            f"solution ({sol.x:.6g}, {sol.y:.6g}) m off the map ({e}), "
+            f"condition {sol.condition:.3g}", condition=sol.condition) from e
+    return estimate, sol.residual_rms, sol.condition

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from uavloc.cluster import (ClusterSet, Observation, _kmeans_pp_init, _lloyd,
-                            compute_k, filter_clusters, kmeans,
-                            max_pairwise_distance, select_reference_nodes,
-                            threshold_rssi)
+from uavloc.cluster import (ClusterSet, Observation, SurveyDiameter, _kmeans_pp_init,
+                            _lloyd, compute_k, filter_clusters, kmeans,
+                            select_reference_nodes, threshold_rssi)
 from uavloc.geo import GeoPoint, PlanarPoint, project, unproject
 from uavloc.pathloss import Calibration
 
@@ -69,14 +68,14 @@ def test_max_pairwise_distance_matches_scalar():
     rng = np.random.default_rng(4)
     obs = [obs_at(rng.uniform(0, 3000), rng.uniform(0, 3000), -50.0) for _ in range(25)]
     expect = max(haversine(a.pos, b.pos) for a in obs for b in obs)
-    assert max_pairwise_distance(obs) == pytest.approx(expect, rel=1e-9)
+    assert SurveyDiameter().update(obs) == pytest.approx(expect, rel=1e-9)
 
 
 def test_kmeans_k_equals_n():
     pts = np.array([(float(i * 100), 0.0) for i in range(6)])
     cs = kmeans(pts, 6, seed=0)
     assert len(cs.clusters) == 6
-    assert all(len(c.members) == 1 for c in cs.clusters)
+    assert all(len(c) == 1 for c in cs.clusters)
 
 
 def test_kmeans_two_blobs():
@@ -84,7 +83,7 @@ def test_kmeans_two_blobs():
     blob_a = [(rng.normal(0, 5), rng.normal(0, 5)) for _ in range(30)]
     blob_b = [(rng.normal(2000, 5), rng.normal(0, 5)) for _ in range(30)]
     cs = kmeans(np.array(blob_a + blob_b), 2, seed=1)
-    groups = sorted(tuple(sorted(c.members)) for c in cs.clusters)
+    groups = sorted(tuple(sorted(c)) for c in cs.clusters)
     assert groups == [tuple(range(30)), tuple(range(30, 60))]
 
 
@@ -98,7 +97,7 @@ def test_kmeans_partition():
     rng = np.random.default_rng(10)
     pts = np.array([(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(100)])
     cs = kmeans(pts, 7, seed=3)
-    all_members = sorted(i for c in cs.clusters for i in c.members)
+    all_members = sorted(i for c in cs.clusters for i in c)
     assert all_members == list(range(100))
 
 
@@ -119,22 +118,20 @@ def test_lloyd_sse_non_increasing():
 
 
 def test_filter_clusters():
-    from uavloc.cluster import Cluster
     cs = ClusterSet((
-        Cluster(PlanarPoint(0, 0), tuple(range(0, 3))),
-        Cluster(PlanarPoint(1, 0), tuple(range(3, 11))),
-        Cluster(PlanarPoint(2, 0), tuple(range(11, 23))),
+        tuple(range(0, 3)),
+        tuple(range(3, 11)),
+        tuple(range(11, 23)),
     ))
     assert len(filter_clusters(cs, 0).clusters) == 3
     kept = filter_clusters(cs, 8).clusters
-    assert len(kept) == 1 and len(kept[0].members) == 12
+    assert len(kept) == 1 and len(kept[0]) == 12
     assert filter_clusters(cs, 12).clusters == ()
 
 
 def test_select_reference_nodes_max_rssi():
-    from uavloc.cluster import Cluster
     obs = [obs_at(0, 0, -80.0, t=0), obs_at(10, 0, -60.0, t=1), obs_at(20, 0, -75.0, t=2)]
-    cs = ClusterSet((Cluster(PlanarPoint(10, 0), (0, 1, 2)),))
+    cs = ClusterSet(((0, 1, 2),))
     refs = select_reference_nodes(cs, obs, *columns(obs), CAL)
     assert len(refs) == 1
     assert refs[0].rssi == -60.0
@@ -142,18 +139,15 @@ def test_select_reference_nodes_max_rssi():
 
 
 def test_select_reference_nodes_tie_breaks_earliest():
-    from uavloc.cluster import Cluster
     obs = [obs_at(0, 0, -60.0, t=3.0), obs_at(10, 0, -60.0, t=9.0)]
-    cs = ClusterSet((Cluster(PlanarPoint(5, 0), (0, 1)),))
+    cs = ClusterSet(((0, 1),))
     refs = select_reference_nodes(cs, obs, *columns(obs), CAL)
     assert refs[0].pos_geo == obs[0].pos
 
 
 def test_select_reference_nodes_singletons():
-    from uavloc.cluster import Cluster
     obs = [obs_at(0, 0, -70.0, t=0), obs_at(500, 0, -65.0, t=1)]
-    points = [project(ORIGIN, o.pos) for o in obs]
-    cs = ClusterSet((Cluster(points[0], (0,)), Cluster(points[1], (1,))))
+    cs = ClusterSet(((0,), (1,)))
     refs = select_reference_nodes(cs, obs, *columns(obs), CAL)
     assert [r.rssi for r in refs] == [-70.0, -65.0]
     # distance comes straight from the inversion

@@ -166,3 +166,18 @@ def test_far_sample_mid_stream_skips_instead_of_raising():
     for r in est.history[6:]:
         assert r.status == "skipped" and "projection range" in r.reason
     assert est.best_estimate() == clean.best_estimate()
+
+
+def test_far_svd_solution_skips_instead_of_raising():
+    # three 10-sample groups 1 km apart on a line, the last 1 cm off it: the
+    # anchors have rank 3 but put the solution about 1e8 m north
+    obs = [obs_at(10 * g + i, x, y, -60.0 - i)
+           for g, (x, y) in enumerate([(0.0, 0.0), (1000.0, 0.0), (2000.0, 0.01)])
+           for i in range(10)]
+    est = Estimator(config(ma=800.0, r_thresh=0, batch_size=30))
+    results = [est.ingest(o) for o in obs]
+    r = results[-1]
+    assert r.status == "skipped" and r.n_obs == 30
+    assert "condition" in r.reason and "latitude" in r.reason
+    with pytest.raises(NoEstimateError):
+        est.best_estimate()

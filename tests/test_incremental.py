@@ -8,12 +8,14 @@ implementations they replaced.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavloc.cluster import (KMEANS_MAX_ITER, KMEANS_TOL_M, Cluster, ClusterSet, Observation,
+from uavloc import cluster
+from uavloc.cluster import (KMEANS_MAX_ITER, KMEANS_TOL_M, ClusterSet, Observation,
                             SurveyDiameter, _kmeans_pp_init, _lloyd, kmeans,
-                            max_pairwise_distance, select_reference_nodes)
+                            select_reference_nodes)
 from uavloc.geo import EARTH_RADIUS_M, GeoPoint, PlanarPoint
 from uavloc.pathloss import Calibration, rssi_to_distance
 
@@ -29,11 +31,11 @@ def diameter_oracle(obs) -> float:
     return float(2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.minimum(1.0, h))).max())
 
 
-def lloyd_oracle(pts, centers):
+def lloyd_oracle(pts, centers, max_iter=KMEANS_MAX_ITER):
     """Per-cluster mask-and-mean Lloyd loop with an (n, k, 2) distance temporary."""
     k = len(centers)
     sse_history = []
-    for _ in range(KMEANS_MAX_ITER):
+    for _ in range(max_iter):
         d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         labels = np.argmin(d2, axis=1)
         sse_history.append(float(d2[np.arange(len(pts)), labels].sum()))
@@ -90,7 +92,7 @@ positions = st.lists(
 def test_incremental_diameter_equals_full_recompute(latlon, cuts):
     obs = [Observation(t=float(i), pos=GeoPoint(lat, lon), rssi=-60.0)
            for i, (lat, lon) in enumerate(latlon)]
-    full = max_pairwise_distance(obs)
+    full = SurveyDiameter().update(obs)
     assert full.hex() == diameter_oracle(obs).hex()
     d = SurveyDiameter()
     kept, end = [], 0
@@ -98,7 +100,7 @@ def test_incremental_diameter_equals_full_recompute(latlon, cuts):
         end = min(len(obs), end + step)
         kept += obs[len(kept):end]
         d.update(kept)
-        assert d.value.hex() == max_pairwise_distance(kept).hex()
+        assert d.value.hex() == SurveyDiameter().update(kept).hex()
     assert d.value.hex() == full.hex()
 
 
@@ -157,6 +159,25 @@ def test_lloyd_single_centre(pts, center):
     assert_same_lloyd(_lloyd(pts, centers.copy()), lloyd_oracle(pts, centers.copy()))
 
 
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_lloyd_iteration_cap_matches_loop(monkeypatch, cap):
+    # most random draws do not converge within the cap, so both loops stop
+    # there and return the labels of the capped centres
+    monkeypatch.setattr(cluster, "KMEANS_MAX_ITER", cap)
+    rng = np.random.default_rng(cap)
+    capped = 0
+    for trial in range(40):
+        n = int(rng.integers(2, 80))
+        pts = rng.uniform(-1000.0, 1000.0, size=(n, 2))
+        if trial % 2:
+            pts = np.round(pts / 250.0)  # integer grid: exact ties
+        centers = pts[rng.choice(n, size=int(rng.integers(1, min(n, 8) + 1)), replace=False)]
+        got = _lloyd(pts, centers.copy())
+        assert_same_lloyd(got, lloyd_oracle(pts, centers.copy(), max_iter=cap))
+        capped += len(got[2]) == cap
+    assert capped >= 20
+
+
 def batches(obs, cuts):
     """Prefixes of obs that grow by the given steps, then the whole list."""
     end = 0
@@ -186,7 +207,7 @@ def select_oracle(cs, obs, cal):
     """Per-cluster min over members, keyed by (-rssi, t)."""
     refs = []
     for c in cs.clusters:
-        best = min(c.members, key=lambda i: (-obs[i].rssi, obs[i].t))
+        best = min(c, key=lambda i: (-obs[i].rssi, obs[i].t))
         refs.append((best, obs[best].rssi, rssi_to_distance(obs[best].rssi, cal)))
     return refs
 
@@ -204,7 +225,7 @@ def test_lexsort_reference_selection_matches_min_loop(case):
     # timestamps are not sorted, so the t key is not implied by member order
     samples, assign = case
     obs = [Observation(t=t, pos=GeoPoint(40.8, 29.35), rssi=rssi) for rssi, t in samples]
-    cs = ClusterSet(tuple(Cluster(PlanarPoint(0.0, 0.0), members) for members in (
+    cs = ClusterSet(tuple(members for members in (
         tuple(i for i, a in enumerate(assign) if a == g) for g in range(5)) if members))
     xy = np.arange(2.0 * len(obs)).reshape(-1, 2)
     rssi = np.array([o.rssi for o in obs])
@@ -225,6 +246,6 @@ def test_lexsort_reference_selection_matches_min_loop(case):
 def test_kmeans_returns_a_partition(case):
     pts, k, seed = case
     cs = kmeans(np.asarray(pts, dtype=float), k, seed)
-    members = [i for c in cs.clusters for i in c.members]
+    members = [i for c in cs.clusters for i in c]
     assert sorted(members) == list(range(len(pts)))
-    assert all(c.members and list(c.members) == sorted(c.members) for c in cs.clusters)
+    assert all(c and list(c) == sorted(c) for c in cs.clusters)

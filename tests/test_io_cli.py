@@ -217,3 +217,14 @@ def test_estimate_and_sweep_ma_parse_shared_flags_alike():
     defaults = (vars(parser.parse_args(["estimate", "--obs", "x"])),
                 vars(parser.parse_args(["sweep-ma", "--obs", "x"])))
     assert {k: defaults[0][k] for k in keys} == {k: defaults[1][k] for k in keys}
+
+
+def test_cli_sweep_ma_rejects_non_positive_ma_before_any_work(tmp_path, capsys):
+    # argparse rejects the list up front, before the log is even opened
+    table = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep-ma", "--obs", str(tmp_path / "missing.csv"),
+                 "--ma-values", "50,-1", "--out", str(table)])
+    assert exc.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert not table.exists()

@@ -150,3 +150,15 @@ def test_printed_row_sign_variant_mirrors_y():
     assert v[2] == pytest.approx(-target[1], abs=1e-6)
     sol = solve_svd(sys)
     assert sol.y == pytest.approx(target[1], abs=1e-6)
+
+
+def test_far_solution_is_degenerate_geometry():
+    # three anchors 1 km apart on a line, the last 1 cm off it, all at one
+    # range: rank 3, but the circumcentre lands about 1e8 m north, off the globe
+    refs = [ref(0, 0, 548.0), ref(1000, 0, 548.0), ref(2000, 0.01, 548.0)]
+    sol = solve_svd(build_system(refs))
+    assert abs(sol.y) > 1e7
+    with pytest.raises(DegenerateGeometryError, match="condition") as exc:
+        estimate_position(refs, ORIGIN)
+    assert exc.value.condition == sol.condition
+    assert "latitude" in str(exc.value)
