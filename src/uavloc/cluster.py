@@ -163,7 +163,11 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
         if total == 0.0:
             centers[j] = pts[rng.integers(n)]
         else:
-            centers[j] = pts[rng.choice(n, p=d2 / total)]
+            # rng.choice(n, p=d2 / total) without re-validating p on every draw:
+            # the same CDF and the same single uniform, so the same index and state
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            centers[j] = pts[cdf.searchsorted(rng.random(), side="right")]
         d2 = np.minimum(d2, _sq_dist(x, y, *centers[j]))
     return centers
 

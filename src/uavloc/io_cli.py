@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .cluster import Observation
 from .errors import LocalizationError, LogFormatError, NoEstimateError
@@ -48,25 +48,13 @@ def _fmt(v: float) -> str:
     return format(float(v), ".9g")
 
 
-def serialize_log(log: ObservationLog) -> str:
-    lines = []
-    if log.survey_id is not None:
-        lines.append(f"# survey {log.survey_id}")
-    if log.cal is not None:
-        c = log.cal
-        lines.append(f"# cal d0={_fmt(c.d0)} p0={_fmt(c.p0_dbm)} "
-                     f"n={_fmt(c.n)} sigma={_fmt(c.sigma_db)}")
-    for key, value in log.meta.items():
-        lines.append(f"# {key} {value}")
-    lines.append(CSV_HEADER)
-    for o in log.rows:
-        lines.append(f"{_fmt(o.t)},{_fmt(o.pos.lat)},{_fmt(o.pos.lon)},{_fmt(o.rssi)}")
-    return "\n".join(lines) + "\n"
-
-
-def write_log(log: ObservationLog, path: str) -> None:
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(serialize_log(log))
+        f.write(text)
+
+
+def _cal_line(c: Calibration) -> str:
+    return f"# cal d0={_fmt(c.d0)} p0={_fmt(c.p0_dbm)} n={_fmt(c.n)} sigma={_fmt(c.sigma_db)}"
 
 
 def _parse_cal_comment(body: str, lineno: int) -> Calibration:
@@ -81,6 +69,20 @@ def _parse_cal_comment(body: str, lineno: int) -> Calibration:
                            n=float(kv["n"]), sigma_db=float(kv.get("sigma", 0.0)))
     except (KeyError, ValueError) as e:
         raise LogFormatError(f"bad calibration metadata: {e}", line=lineno)
+
+
+def write_log(log: ObservationLog, path: str) -> None:
+    lines = []
+    if log.survey_id is not None:
+        lines.append(f"# survey {log.survey_id}")
+    if log.cal is not None:
+        lines.append(_cal_line(log.cal))
+    for key, value in log.meta.items():
+        lines.append(f"# {key} {value}")
+    lines.append(CSV_HEADER)
+    for o in log.rows:
+        lines.append(f"{_fmt(o.t)},{_fmt(o.pos.lat)},{_fmt(o.pos.lon)},{_fmt(o.rssi)}")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def parse_log(path: str) -> ObservationLog:
@@ -115,14 +117,13 @@ def parse_log(path: str) -> ObservationLog:
                 t, lat, lon, rssi = (float(p) for p in parts)
             except ValueError:
                 raise LogFormatError(f"non-numeric field in {line!r}", line=lineno)
-            if any(not math.isfinite(v) for v in (t, lat, lon, rssi)):
-                raise LogFormatError("non-finite value", line=lineno)
-            if log.rows and t < log.rows[-1].t:
-                raise LogFormatError(f"timestamp {t} precedes previous row", line=lineno)
             try:
-                log.rows.append(Observation(t=t, pos=GeoPoint(lat, lon), rssi=rssi))
+                o = Observation(t=t, pos=GeoPoint(lat, lon), rssi=rssi)
             except ValueError as e:
                 raise LogFormatError(str(e), line=lineno)
+            if log.rows and t < log.rows[-1].t:
+                raise LogFormatError(f"timestamp {t} precedes previous row", line=lineno)
+            log.rows.append(o)
     if not saw_header:
         raise LogFormatError("missing header line")
     if not log.rows:
@@ -131,10 +132,8 @@ def parse_log(path: str) -> ObservationLog:
 
 
 def write_report(report: RunReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        # the fields in declaration order; asdict would deep-copy every record
-        json.dump(vars(report), f, indent=2)
-        f.write("\n")
+    # the fields in declaration order; asdict would deep-copy every record
+    _write_text(path, json.dumps(vars(report), indent=2) + "\n")
 
 
 def read_report(path: str) -> RunReport:
@@ -155,8 +154,8 @@ def _parse_latlon(text: str) -> GeoPoint:
 
 def _positive(text: str) -> float:
     v = float(text)
-    if not v > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {v}")
+    if not 0 < v < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {v}")
     return v
 
 
@@ -179,6 +178,14 @@ def _ma_list(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated meters, got {text!r}")
 
 
+def _log_command(sub, name: str, func, help: str):
+    """A subcommand that reads the observation log given by `--obs`."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--obs", required=True)
+    p.set_defaults(func=func)
+    return p
+
+
 def _add_cal_flags(p):
     p.add_argument("--d0", type=_positive, help="calibration reference distance (m)")
     p.add_argument("--p0", type=float, help="calibration reference power (dBm)")
@@ -195,16 +202,21 @@ def _add_run_flags(p):
     p.add_argument("--truth", type=_parse_latlon)
 
 
-def _resolve_cal(args, log: ObservationLog | None) -> Calibration:
-    base = log.cal if log is not None else None
-    d0 = args.d0 if args.d0 is not None else (base.d0 if base else None)
-    p0 = args.p0 if args.p0 is not None else (base.p0_dbm if base else None)
-    n = args.n if args.n is not None else (base.n if base else None)
-    sigma = args.sigma if args.sigma is not None else (base.sigma_db if base else 0.0)
-    if d0 is None or p0 is None or n is None:
+def _read_obs(args) -> tuple[ObservationLog, Calibration]:
+    """Parse the `--obs` log and resolve its calibration.
+
+    That is the log's `# cal` line with each calibration flag given overriding
+    its field, or, for a log without one, the flags alone.
+    """
+    log = parse_log(args.obs)
+    given = {k: v for k, v in (("d0", args.d0), ("p0_dbm", args.p0), ("n", args.n),
+                               ("sigma_db", args.sigma)) if v is not None}
+    if log.cal is not None:
+        return log, replace(log.cal, **given)
+    if not {"d0", "p0_dbm", "n"} <= given.keys():
         raise LocalizationError(
             "no calibration: log has no '# cal' line and --d0/--p0/--n not all given")
-    return Calibration(d0=d0, p0_dbm=p0, n=n, sigma_db=sigma)
+    return log, Calibration(**given)
 
 
 def _estimator_config(args, cal: Calibration, ma: float) -> EstimatorConfig:
@@ -220,11 +232,25 @@ def _iteration_record(r, truth: GeoPoint | None):
     if r.ok:
         rec.update({"estimate_lat": r.estimate.lat, "estimate_lon": r.estimate.lon,
                     "residual_rms": r.residual_rms, "condition": r.condition})
-        if truth is not None:
-            rec["error_m"] = evaluate(r.estimate, truth)
+        _score(rec, r.estimate, truth)
     else:
         rec["reason"] = r.reason
     return rec
+
+
+def _score(block: dict, estimate: GeoPoint, truth: GeoPoint | None) -> dict:
+    """Add the estimate's `error_m` to the block when the truth is known."""
+    if truth is not None:
+        block["error_m"] = evaluate(estimate, truth)
+    return block
+
+
+def _summary(label: str, block: dict) -> str:
+    """`<label> (lat, lon)`, plus ` error <m> m` when the block was scored."""
+    line = f"{label} ({_fmt(block['lat'])}, {_fmt(block['lon'])})"
+    if "error_m" in block:
+        line += f" error {_fmt(block['error_m'])} m"
+    return line
 
 
 def cmd_simulate(args) -> int:
@@ -242,8 +268,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    log = parse_log(args.obs)
-    cal = _resolve_cal(args, log)
+    log, cal = _read_obs(args)
     est = run_estimator(log.rows, _estimator_config(args, cal, args.ma))
     truth = args.truth
     report = RunReport(
@@ -253,44 +278,33 @@ def cmd_estimate(args) -> int:
     status = 0
     try:
         estimate, best = est.best_estimate()
-        report.best = {"index": best.index, "lat": estimate.lat, "lon": estimate.lon,
-                       "residual_rms": best.residual_rms}
-        if truth is not None:
-            report.best["error_m"] = evaluate(estimate, truth)
+        report.best = _score({"index": best.index, "lat": estimate.lat, "lon": estimate.lon,
+                              "residual_rms": best.residual_rms}, estimate, truth)
     except NoEstimateError as e:
         print(f"{PROG}: error: {e}", file=sys.stderr)
         status = 1
     if args.out:
         write_report(report, args.out)
     if report.best is not None:
-        line = f"best estimate: iteration {report.best['index']} " \
-               f"({_fmt(report.best['lat'])}, {_fmt(report.best['lon'])})"
-        if truth is not None:
-            line += f" error {_fmt(report.best['error_m'])} m"
-        print(line)
+        print(_summary(f"best estimate: iteration {report.best['index']}", report.best))
     return status
 
 
 def cmd_baseline(args) -> int:
-    log = parse_log(args.obs)
-    cal = _resolve_cal(args, log)
+    log, cal = _read_obs(args)
     origin = log.rows[0].pos
     estimate = run_baseline_svd(log.rows, cal, origin)
     report = RunReport(config={"cal": asdict(cal)}, iterations=[],
-                       baseline={"lat": estimate.lat, "lon": estimate.lon})
-    line = f"baseline estimate: ({_fmt(estimate.lat)}, {_fmt(estimate.lon)})"
-    if args.truth is not None:
-        report.baseline["error_m"] = evaluate(estimate, args.truth)
-        line += f" error {_fmt(report.baseline['error_m'])} m"
+                       baseline=_score({"lat": estimate.lat, "lon": estimate.lon},
+                                       estimate, args.truth))
     if args.out:
         write_report(report, args.out)
-    print(line)
+    print(_summary("baseline estimate:", report.baseline))
     return 0
 
 
 def cmd_sweep_ma(args) -> int:
-    log = parse_log(args.obs)
-    cal = _resolve_cal(args, log)
+    log, cal = _read_obs(args)
     truth = args.truth
     if truth is None and "target" in log.meta:
         truth = _parse_latlon(log.meta["target"])
@@ -303,8 +317,7 @@ def cmd_sweep_ma(args) -> int:
         lines.append(f"{_fmt(ma)},{_fmt(err) if err is not None else 'failed'}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -320,11 +333,9 @@ def cmd_calibrate(args) -> int:
     samples = [(haversine(o.pos, args.truth), o.rssi) for o in log.rows]
     samples = [(d, pr) for d, pr in samples if d > 0]
     cal = fit_exponent(samples, d0=args.d0 if args.d0 is not None else 100.0)
-    line = (f"# cal d0={_fmt(cal.d0)} p0={_fmt(cal.p0_dbm)} "
-            f"n={_fmt(cal.n)} sigma={_fmt(cal.sigma_db)}")
+    line = _cal_line(cal)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(line + "\n")
+        _write_text(args.out, line + "\n")
     print(line)
     return 0
 
@@ -342,42 +353,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("estimate", help="run the clustered iterative estimator")
-    p.add_argument("--obs", required=True)
+    p = _log_command(sub, "estimate", cmd_estimate, "run the clustered iterative estimator")
     p.add_argument("--ma", type=_positive, default=130.0)
     _add_run_flags(p)
     p.add_argument("--out")
     _add_cal_flags(p)
-    p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("baseline", help="plain SVD over all observations")
-    p.add_argument("--obs", required=True)
+    p = _log_command(sub, "baseline", cmd_baseline, "plain SVD over all observations")
     p.add_argument("--truth", type=_parse_latlon)
     p.add_argument("--out")
     _add_cal_flags(p)
-    p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("sweep-ma", help="best-estimate error per cluster granularity")
-    p.add_argument("--obs", required=True)
+    p = _log_command(sub, "sweep-ma", cmd_sweep_ma, "best-estimate error per cluster granularity")
     p.add_argument("--ma-values", type=_ma_list,
                    default=[50.0, 70.0, 90.0, 110.0, 130.0, 150.0, 170.0, 190.0])
     _add_run_flags(p)
     p.add_argument("--out")
     _add_cal_flags(p)
-    p.set_defaults(func=cmd_sweep_ma)
 
     p = sub.add_parser("evaluate", help="haversine distance between two points")
     p.add_argument("--estimate", type=_parse_latlon, required=True)
     p.add_argument("--truth", type=_parse_latlon, required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("calibrate", help="fit the path-loss exponent from a log")
-    p.add_argument("--obs", required=True)
+    p = _log_command(sub, "calibrate", cmd_calibrate, "fit the path-loss exponent from a log")
     p.add_argument("--truth", type=_parse_latlon, required=True,
                    help="known transmitter position")
     p.add_argument("--d0", type=_positive, help="reference distance (m), default 100")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_calibrate)
 
     return parser
 

@@ -27,10 +27,6 @@ class LinearSystem:
     a: np.ndarray  # (M, 3)
     b: np.ndarray  # (M,)
 
-    @property
-    def m(self) -> int:
-        return self.a.shape[0]
-
 
 @dataclass(frozen=True)
 class LaterationSolution:
@@ -71,7 +67,7 @@ def solve_svd(sys: LinearSystem) -> LaterationSolution:
             f"reference geometry rank {rank} < 3 (collinear anchors?), "
             f"condition {condition:.3g}", condition=condition)
     v = vt.T @ ((u.T @ sys.b) / sv)
-    residual_rms = float(np.linalg.norm(sys.a @ v - sys.b) / math.sqrt(sys.m))
+    residual_rms = float(np.linalg.norm(sys.a @ v - sys.b) / math.sqrt(len(sys.b)))
     return LaterationSolution(s=float(v[0]), x=float(v[1]), y=float(v[2]),
                               residual_rms=residual_rms, condition=condition)
 

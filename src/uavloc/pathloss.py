@@ -31,6 +31,8 @@ class Calibration:
     sigma_db: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.d0, self.p0_dbm, self.n, self.sigma_db))):
+            raise ValueError(f"non-finite calibration value in {self}")
         if not self.d0 > 0:
             raise ValueError(f"reference distance must be positive, got {self.d0}")
         if not 0.5 < self.n <= 8.0:

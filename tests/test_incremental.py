@@ -151,6 +151,23 @@ def test_lloyd_exact_ties_on_integer_grid(case):
     assert_same_lloyd(_lloyd(pts, centers.copy()), lloyd_oracle(pts, centers.copy()))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(grid, grid), min_size=n, max_size=n),
+    st.integers(1, n), st.integers(0, 2**32 - 1))))
+def test_kmeans_pp_draw_matches_rng_choice(case):
+    # grid points repeat, so many weights are zero and some draws have total 0;
+    # the written-out draw must pick what rng.choice picks and use the same
+    # randomness, leaving the generator in the same state
+    pts, k, seed = case
+    pts = np.asarray(pts, dtype=float)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _kmeans_pp_init(pts, k, got_rng)
+    want = kmeans_pp_oracle(pts, k, want_rng)
+    assert np.array_equal(bits(got), bits(want))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(coords, coords), min_size=1, max_size=40),
        st.tuples(coords, coords))

@@ -6,7 +6,7 @@ import pytest
 from uavloc.cluster import Observation
 from uavloc.errors import LogFormatError
 from uavloc.geo import GeoPoint
-from uavloc.io_cli import (ObservationLog, RunReport, build_parser, main, parse_log,
+from uavloc.io_cli import (CSV_HEADER, ObservationLog, RunReport, build_parser, main, parse_log,
                            read_report, write_log, write_report)
 from uavloc.pathloss import Calibration
 
@@ -65,9 +65,25 @@ def test_parse_bad_latitude_names_line(tmp_path):
         parse_log(str(path))
 
 
-def test_parse_nan_rejected(tmp_path):
+@pytest.mark.parametrize("lineno", [2, 3], ids=["line2", "line3"])
+@pytest.mark.parametrize("field", CSV_HEADER.split(","))
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_nan_rejected(tmp_path, value, field, lineno):
+    # the row types' own checks reject every non-finite field, first row or later
+    good = "0.0,40.0,29.0,-60.0"
+    bad = "1.0,40.0,29.0,-60.0".split(",")
+    bad[CSV_HEADER.split(",").index(field)] = value
     path = tmp_path / "obs.csv"
-    path.write_text("t_s,lat_deg,lon_deg,rssi_dbm\n0.0,nan,29.0,-60.0\n")
+    path.write_text("\n".join([CSV_HEADER] + [good] * (lineno - 2) + [",".join(bad)]) + "\n")
+    with pytest.raises(LogFormatError, match=f"line {lineno}"):
+        parse_log(str(path))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_non_finite_calibration_names_line(tmp_path, value):
+    path = tmp_path / "obs.csv"
+    path.write_text(f"# survey x\n# cal d0=100 p0={value} n=2 sigma=3\n"
+                    "t_s,lat_deg,lon_deg,rssi_dbm\n0.0,40.0,29.0,-60.0\n")
     with pytest.raises(LogFormatError, match="line 2"):
         parse_log(str(path))
 
@@ -144,10 +160,27 @@ def test_cli_deterministic_outputs(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_cli_bad_ma_exits_nonzero(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--obs", "x.csv", "--ma", "0"],
+    ["estimate", "--obs", "x.csv", "--ma", "inf"],
+    ["simulate", "--duration", "inf", "--out", "x.csv"],
+], ids=["ma-0", "ma-inf", "duration-inf"])
+def test_cli_bad_ma_exits_nonzero(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        run_cli(["estimate", "--obs", "x.csv", "--ma", "0"])
-    assert exc.value.code != 0
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_non_finite_p0_fails_before_any_iteration(tmp_path, capsys, value):
+    obs = tmp_path / "obs.csv"
+    run = tmp_path / "run.json"
+    write_log(sample_log(), str(obs))
+    assert run_cli(["estimate", "--obs", str(obs), f"--p0={value}", "--out", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("uavloc: error:") and "non-finite calibration" in err
+    assert not run.exists()
 
 
 def test_cli_unknown_subcommand(tmp_path):

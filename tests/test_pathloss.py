@@ -118,4 +118,9 @@ def test_calibration_validation():
         Calibration(d0=100.0, p0_dbm=-40.0, n=0.3)
     with pytest.raises(ValueError):
         Calibration(d0=100.0, p0_dbm=-40.0, n=2.0, sigma_db=-1.0)
+    for bad in ({"p0_dbm": math.nan}, {"p0_dbm": math.inf}, {"p0_dbm": -math.inf},
+                {"sigma_db": math.nan}, {"sigma_db": math.inf}, {"d0": math.inf},
+                {"d0": math.nan}):
+        with pytest.raises(ValueError):
+            Calibration(**{"d0": 100.0, "p0_dbm": -40.0, "n": 2.0, **bad})
 
