@@ -19,9 +19,9 @@ KMEANS_MAX_ITER = 100
 # floor keeps the test exact where squared distances would be subnormal.
 LLOYD_MARGIN = 1e-9
 LLOYD_FLOOR_M = 1e-150
-# Chord-length slack of the survey-diameter pruning, on the unit sphere
-# (about 64 nm on the ground; see SurveyDiameter).
-CHORD_MARGIN = 1e-14
+# Squared-chord slack of the survey-diameter pruning, on the unit sphere
+# (at least 0.16 um on the ground; see SurveyDiameter).
+CHORD2_MARGIN = 1e-13
 
 
 @dataclass(frozen=True)
@@ -70,24 +70,42 @@ class SurveyDiameter:
     `update(obs)` folds in obs[seen:], the rows appended since the last call.
     Max is order-free and the haversine expression gives the same bits for
     (i, j) and (j, i), so only the new rows' pairs need looking at. Most of
-    those are pruned by chord length: each row is carried as a unit vector,
-    and the chord between two unit vectors is monotone in their great-circle
-    distance. A batch whose longest chord falls short of the running longest
-    chord by more than CHORD_MARGIN cannot raise the maximum, and returns at
-    once. Otherwise only the pairs within CHORD_MARGIN of the longest chord
-    are passed to the haversine expression. The margin (about 64 nm on the
-    ground) is above the rounding of both distances: a chord computed from
-    sin/cos within 4 ulp is off by less than 4e-15, and the haversine rounding
-    is far smaller for any survey short of about 10 000 km. So a pruned pair
-    never holds the maximum, and the result equals a full recompute over obs
-    bit for bit.
+    those are pruned by squared chord length: each row is carried as a unit
+    vector, one matmul gives the new x kept cosines g, and 2 - 2g is the
+    squared chord, which is monotone in great-circle distance. A batch whose
+    largest squared chord falls short of the running largest by more than
+    CHORD2_MARGIN cannot raise the maximum, and returns at once. Otherwise
+    only the pairs within CHORD2_MARGIN of the largest are passed to the
+    haversine expression.
+
+    The margin bounds the error of a computed squared chord c2 against the
+    exact |u - v|^2 of the radian coordinates, with eps = 2^-53. Each unit
+    vector component is a product of sin/cos values within 4 ulp (8 eps
+    relative) with one rounding, so it is within 17.01 eps relative, and the
+    rounded vector u' is within 17.01 eps of u.
+    (a) The 3-term dot product, in any order and with or without FMA, is
+        within 3.01 eps |u'| |v'| of u'.v', so 2g is within 6.03 eps of
+        2 u'.v', and 2 - 2g adds at most 4 eps of rounding: under 11 eps.
+    (b) 2 - 2 u'.v' = |u' - v'|^2 + (1 - |u'|^2) + (1 - |v'|^2), and the
+        unit-norm defect |1 - |u'|^2| is at most 2 (17.01 eps) + (17.01 eps)^2
+        for each vector: under 69 eps.
+    (c) | |u' - v'|^2 - |u - v|^2 | <= (|u' - u| + |v' - v|) (2 |u - v| + 34.02 eps)
+        <= 34.02 eps (4 + 34.02 eps): under 137 eps.
+    So c2 is off by less than 217 eps = 2.5e-14, and two such errors leave
+    at least 5e-14 of the 1e-13 margin. Since the squared chord 4 sin^2(d / 2R)
+    grows by at most 2/R per unit of ground distance d, a pruned pair is
+    shorter than the pair holding the largest squared chord by more than
+    R * 5e-14 / 2 = 0.16 um on the ground, far above the rounding of the
+    haversine expression for any survey short of about 10 000 km. So a pruned
+    pair never holds the maximum, and the result equals a full recompute over
+    obs bit for bit, whatever order or threading BLAS uses for g.
     """
 
     def __init__(self):
         self.lat = np.empty(0)
         self.lon = np.empty(0)
-        self.unit = np.empty((3, 0))
-        self.chord = 0.0  # longest chord seen, on the unit sphere
+        self.unit = np.empty((0, 3))
+        self.chord2 = 0.0  # largest squared chord seen, on the unit sphere
         self.value = 0.0
 
     def update(self, obs) -> float:
@@ -97,23 +115,19 @@ class SurveyDiameter:
         new_lat = np.radians([o.pos.lat for o in obs[seen:]])
         new_lon = np.radians([o.pos.lon for o in obs[seen:]])
         cos_lat = np.cos(new_lat)
-        new_unit = np.stack([cos_lat * np.cos(new_lon), cos_lat * np.sin(new_lon),
-                             np.sin(new_lat)])
+        new_unit = np.column_stack([cos_lat * np.cos(new_lon), cos_lat * np.sin(new_lon),
+                                    np.sin(new_lat)])
         lat = self.lat = np.concatenate([self.lat, new_lat])
         lon = self.lon = np.concatenate([self.lon, new_lon])
-        unit = self.unit = np.concatenate([self.unit, new_unit], axis=1)
-        # squared chords, new rows x all rows, in two preallocated buffers
-        c2 = np.zeros((len(new_lat), len(lat)))
-        diff = np.empty_like(c2)
-        for axis in range(3):
-            np.subtract(new_unit[axis][:, None], unit[axis], out=diff)
-            diff *= diff
-            c2 += diff
-        batch_chord = math.sqrt(c2.max())
-        if batch_chord < self.chord - CHORD_MARGIN:
+        unit = self.unit = np.concatenate([self.unit, new_unit])
+        g = new_unit @ unit.T  # cosines, new rows x all rows
+        batch_chord2 = 2.0 - 2.0 * float(g.min())
+        if batch_chord2 < self.chord2 - CHORD2_MARGIN:
             return self.value
-        self.chord = max(self.chord, batch_chord)
-        i, j = np.nonzero(c2 >= max(0.0, self.chord - CHORD_MARGIN) ** 2)
+        self.chord2 = max(self.chord2, batch_chord2)
+        g *= -2.0
+        g += 2.0  # squared chords, in place
+        i, j = np.nonzero(g >= self.chord2 - CHORD2_MARGIN)
         dlat = new_lat[i] - lat[j]
         dlon = new_lon[i] - lon[j]
         h = (np.sin(dlat / 2.0) ** 2
@@ -152,24 +166,30 @@ def _sq_dist(ax, ay, bx, by):
 
 
 def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: D^2-weighted sampling of initial centers."""
+    """k-means++ seeding: D^2-weighted sampling of initial centers.
+
+    Each weighted draw is rng.choice(n, p=d2 / d2.sum()) written out without
+    re-validating p: the same CDF (add.accumulate is the sequential sum cumsum
+    runs), built in one reused buffer, and the same single uniform, so the same
+    index and the same generator state afterwards.
+    """
     n = len(pts)
     x, y = _columns(pts)
-    centers = np.empty((k, 2))
-    centers[0] = pts[rng.integers(n)]
-    d2 = _sq_dist(x, y, *centers[0])
-    for j in range(1, k):
+    chosen = [rng.integers(n)]
+    d2 = _sq_dist(x, y, *pts[chosen[0]].tolist())
+    cdf = np.empty(n)
+    for _ in range(1, k):
         total = d2.sum()
         if total == 0.0:
-            centers[j] = pts[rng.integers(n)]
+            c = rng.integers(n)
         else:
-            # rng.choice(n, p=d2 / total) without re-validating p on every draw:
-            # the same CDF and the same single uniform, so the same index and state
-            cdf = np.cumsum(d2 / total)
+            np.divide(d2, total, out=cdf)
+            np.add.accumulate(cdf, out=cdf)
             cdf /= cdf[-1]
-            centers[j] = pts[cdf.searchsorted(rng.random(), side="right")]
-        d2 = np.minimum(d2, _sq_dist(x, y, *centers[j]))
-    return centers
+            c = cdf.searchsorted(rng.random(), side="right")
+        chosen.append(c)
+        np.minimum(d2, _sq_dist(x, y, *pts[c].tolist()), out=d2)
+    return pts[chosen]
 
 
 def _lloyd(pts: np.ndarray, centers: np.ndarray):
@@ -187,6 +207,9 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray):
     bound. The margin is far above the rounding of the distances and of the
     bound updates, and near-ties take the full row, so labels, centres and
     SSE are those of the plain loop bit for bit (argmin's first-index rule).
+    The full rows are laid out (k, m), centres down and points along the
+    contiguous axis, so argmin and min reduce over the k rows; (c - p)^2 has
+    the bits of (p - c)^2.
     """
     k = len(centers)
     n = len(pts)
@@ -195,6 +218,7 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray):
     labels = np.empty(n, dtype=np.intp)
     nearest = np.empty(n)
     lower = np.empty(n)
+    test = np.empty(n)  # pruning test, reused every step
     stale = np.arange(n)
     sse_history = []
     shift = math.inf
@@ -202,29 +226,37 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray):
         if step:
             lower -= shift * (1.0 + LLOYD_MARGIN)
             nearest = _sq_dist(x, y, cx[labels], cy[labels])
-            stale = np.flatnonzero(np.sqrt(nearest) * (1.0 + LLOYD_MARGIN) + LLOYD_FLOOR_M >= lower)
+            np.sqrt(nearest, out=test)
+            test *= 1.0 + LLOYD_MARGIN
+            test += LLOYD_FLOOR_M
+            stale = np.flatnonzero(test >= lower)
         if len(stale):
-            d2 = _sq_dist(x[stale, None], y[stale, None], cx, cy)
-            own = np.argmin(d2, axis=1)
-            rows = np.arange(len(stale))
+            d2 = _sq_dist(cx[:, None], cy[:, None], x[stale], y[stale])
+            own = d2.argmin(axis=0)
+            cols = np.arange(len(stale))
             labels[stale] = own
-            nearest[stale] = d2[rows, own]
-            d2[rows, own] = np.inf
-            lower[stale] = np.sqrt(d2.min(axis=1))
+            nearest[stale] = d2[own, cols]
+            d2[own, cols] = np.inf
+            lower[stale] = np.sqrt(d2.min(axis=0))
         if shift < KMEANS_TOL_M or step == KMEANS_MAX_ITER:
             break
         sse_history.append(float(nearest.sum()))
         # bincount sums members in index order, as a per-cluster mean does
         counts = np.bincount(labels, minlength=k)
-        filled = counts > 0
-        new_cx, new_cy = (np.divide(np.bincount(labels, weights=col, minlength=k), counts,
-                                    out=np.empty(k), where=filled) for col in (x, y))
-        if not filled.all():
+        sum_x = np.bincount(labels, weights=x, minlength=k)
+        sum_y = np.bincount(labels, weights=y, minlength=k)
+        if counts.all():
+            new_cx = sum_x / counts
+            new_cy = sum_y / counts
+        else:
+            filled = counts > 0
+            new_cx = np.divide(sum_x, counts, out=np.empty(k), where=filled)
+            new_cy = np.divide(sum_y, counts, out=np.empty(k), where=filled)
             # reseed empty clusters at the point farthest from its centroid
             far = np.argmax(nearest)
             new_cx[~filled] = x[far]
             new_cy[~filled] = y[far]
-        shift = np.sqrt(_sq_dist(new_cx, new_cy, cx, cy)).max()
+        shift = math.sqrt(_sq_dist(new_cx, new_cy, cx, cy).max())
         cx, cy = new_cx, new_cy
     return np.column_stack([cx, cy]), labels, sse_history
 

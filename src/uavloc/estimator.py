@@ -11,12 +11,12 @@ last one, and appends them to the kept samples and to their columns (planar
 positions as one (N, 2) array, RSSI and timestamps). Clustering (k-means++
 init and Lloyd), the size filter, reference selection and the SVD solve run
 over all kept samples every iteration, but two stages skip what cannot change
-their answer (see `cluster`): the survey diameter looks only at the new
-samples' pairs whose chord is within a rounding margin of the longest, and
-Lloyd computes a full row of centre distances only for the points whose
-triangle-inequality bound does not rule out a change of label. Both margins
-dominate float rounding, so every reported bit is that of the full
-computation.
+their answer (see `cluster`): the survey diameter passes to the haversine
+only the new samples' pairs whose squared chord, from one matmul of unit
+vectors, is within a proven error margin of the largest, and Lloyd computes
+a full row of centre distances only for the points whose triangle-inequality
+bound does not rule out a change of label. Both margins dominate float
+rounding, so every reported bit is that of the full computation.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ class EstimatorConfig:
             raise ValueError(f"ma must be positive, got {self.ma}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if math.isnan(self.min_dbm):
+            raise ValueError("min_dbm must not be nan")
         if self.r_thresh != R_THRESH_ITERATION and (
                 not isinstance(self.r_thresh, int) or self.r_thresh < 0):
             raise ValueError(f"r_thresh must be 'iteration' or a non-negative int, "
@@ -136,11 +138,11 @@ class Estimator:
         except ValueError as e:
             return skipped(str(e))
         self._seen = n_obs
-        self._kept += new_kept
-        self._xy = np.concatenate([self._xy, np.array([(p.x, p.y) for p in new_points],
-                                                      dtype=float).reshape(-1, 2)])
-        self._rssi = np.concatenate([self._rssi, [o.rssi for o in new_kept]])
-        self._t = np.concatenate([self._t, [o.t for o in new_kept]])
+        if new_kept:
+            self._kept += new_kept
+            self._xy = np.concatenate([self._xy, [(p.x, p.y) for p in new_points]])
+            self._rssi = np.concatenate([self._rssi, [o.rssi for o in new_kept]])
+            self._t = np.concatenate([self._t, [o.t for o in new_kept]])
         kept = self._kept
         if not kept:
             return skipped("no observations above rssi threshold")

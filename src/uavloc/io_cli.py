@@ -159,6 +159,20 @@ def _positive(text: str) -> float:
     return v
 
 
+def _finite(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"must be finite, got {v}")
+    return v
+
+
+def _non_negative(text: str) -> float:
+    v = float(text)
+    if not 0 <= v < math.inf:
+        raise argparse.ArgumentTypeError(f"must be non-negative and finite, got {v}")
+    return v
+
+
 def _r_thresh(text: str):
     if text == R_THRESH_ITERATION:
         return text
@@ -196,7 +210,7 @@ def _add_cal_flags(p):
 def _add_run_flags(p):
     """Estimator and scoring flags shared by `estimate` and `sweep-ma`."""
     p.add_argument("--batch", type=int, default=50)
-    p.add_argument("--min-rssi", type=float)
+    p.add_argument("--min-rssi", type=_finite)
     p.add_argument("--r-thresh", type=_r_thresh, default=R_THRESH_ITERATION)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--truth", type=_parse_latlon)
@@ -348,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic observation log")
     p.add_argument("--scenario", choices=sorted(SCENARIOS), default="gtu-sim")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma", type=float, help="shadowing std-dev (dB), default 3")
+    p.add_argument("--sigma", type=_non_negative, help="shadowing std-dev (dB), default 3")
     p.add_argument("--duration", type=_positive, help="seconds (default: full survey)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)

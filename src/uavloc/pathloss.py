@@ -76,7 +76,7 @@ def rssi_to_distance(pr_dbm: float, cal: Calibration) -> float:
 def sample_shadowed_rssi(tx: TxParams, d: float, sigma_db: float,
                          rng: np.random.Generator) -> float:
     """Draw one shadowed RSSI sample: friis_rssi plus N(0, sigma_db^2)."""
-    if sigma_db < 0:
+    if not sigma_db >= 0:
         raise ValueError(f"sigma must be >= 0, got {sigma_db}")
     base = friis_rssi(tx, d)
     if sigma_db == 0.0:

@@ -144,6 +144,9 @@ def test_config_validation():
         config(r_thresh=-1)
     with pytest.raises(ValueError):
         config(r_thresh="bogus")
+    with pytest.raises(ValueError, match="nan"):
+        config(min_dbm=math.nan)
+    assert config(min_dbm=-math.inf).min_dbm == -math.inf
     assert config(r_thresh="iteration").r_thresh_for(7) == 7
     assert config(r_thresh=2).r_thresh_for(7) == 2
 

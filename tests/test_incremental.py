@@ -9,12 +9,12 @@ implementations they replaced.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavloc import cluster
-from uavloc.cluster import (KMEANS_MAX_ITER, KMEANS_TOL_M, ClusterSet, Observation,
-                            SurveyDiameter, _kmeans_pp_init, _lloyd, kmeans,
+from uavloc.cluster import (CHORD2_MARGIN, KMEANS_MAX_ITER, KMEANS_TOL_M, ClusterSet,
+                            Observation, SurveyDiameter, _kmeans_pp_init, _lloyd, kmeans,
                             select_reference_nodes)
 from uavloc.geo import EARTH_RADIUS_M, GeoPoint, PlanarPoint
 from uavloc.pathloss import Calibration, rssi_to_distance
@@ -83,15 +83,29 @@ def assert_same_lloyd(got, want):
     assert [s.hex() for s in gs] == [s.hex() for s in ws]
 
 
-positions = st.lists(
-    st.tuples(st.floats(40.70, 40.90), st.floats(29.25, 29.45)), min_size=1, max_size=60)
+def survey(centre, box, offsets):
+    """Observations at centre + box * offset (degrees), longitude wrapped."""
+    lat0, lon0 = centre
+    return [Observation(t=float(i), pos=GeoPoint(lat0 + box * a,
+                                                 (lon0 + box * b + 180.0) % 360.0 - 180.0),
+                        rssi=-60.0) for i, (a, b) in enumerate(offsets)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(positions, st.lists(st.integers(0, 20), max_size=8))
-def test_incremental_diameter_equals_full_recompute(latlon, cuts):
-    obs = [Observation(t=float(i), pos=GeoPoint(lat, lon), rssi=-60.0)
-           for i, (lat, lon) in enumerate(latlon)]
+# survey boxes from 1e-5 degree (about 1 m) to 10 degrees (about 1000 km)
+boxes = st.floats(-5.0, 1.0).map(lambda e: 10.0 ** e)
+centres = st.tuples(st.floats(-75.0, 75.0), st.floats(-180.0, 180.0))
+offsets = st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+                   min_size=1, max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(centres, boxes, offsets, st.lists(st.integers(0, 20), max_size=8))
+@example((40.8, 29.35), 0.2, [(-0.5, -0.5), (0.5, 0.5), (0.1, -0.3), (0.5, 0.5)], [1, 2])
+@example((-10.0, 180.0), 8.0, [(0.0, -0.4), (0.2, 0.45), (-0.5, 0.1), (0.3, -0.5)], [1, 0, 2])
+@example((60.0, 180.0), 1e-5, [(0.5, 0.5), (-0.5, -0.5), (0.0, 0.2)], [2])
+def test_incremental_diameter_equals_full_recompute(centre, box, offsets, cuts):
+    # the last two examples straddle the antimeridian
+    obs = survey(centre, box, offsets)
     full = SurveyDiameter().update(obs)
     assert full.hex() == diameter_oracle(obs).hex()
     d = SurveyDiameter()
@@ -102,6 +116,21 @@ def test_incremental_diameter_equals_full_recompute(latlon, cuts):
         d.update(kept)
         assert d.value.hex() == SurveyDiameter().update(kept).hex()
     assert d.value.hex() == full.hex()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)),
+                min_size=2, max_size=20))
+def test_dot_product_chord_within_quarter_margin(latlon):
+    # 2 - 2 u.v, as the prefilter takes the squared chord, against the
+    # squared difference of the same rounded unit vectors: the dot product
+    # rounding and the unit-norm defect that the margin proof bounds
+    d = SurveyDiameter()
+    d.update([Observation(t=0.0, pos=GeoPoint(lat, lon), rssi=-60.0) for lat, lon in latlon])
+    u = d.unit
+    by_dot = 2.0 - 2.0 * (u @ u.T)
+    by_diff = ((u[:, None, :] - u[None, :, :]) ** 2).sum(axis=2)
+    assert np.abs(by_dot - by_diff).max() < CHORD2_MARGIN / 4
 
 
 coords = st.floats(-5000.0, 5000.0, allow_nan=False, allow_infinity=False)

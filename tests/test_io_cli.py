@@ -183,6 +183,30 @@ def test_cli_non_finite_p0_fails_before_any_iteration(tmp_path, capsys, value):
     assert not run.exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "sweep-ma"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_non_finite_min_rssi_exits_before_any_work(tmp_path, capsys, command, value):
+    # argparse rejects it before the log is opened, so no iteration runs
+    # and no report with a non-JSON "min_rssi": NaN is written
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--obs", str(tmp_path / "missing.csv"), f"--min-rssi={value}",
+                 "--out", str(out)])
+    assert exc.value.code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_cli_simulate_rejects_bad_sigma(tmp_path, capsys, value):
+    out = tmp_path / "obs.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", f"--sigma={value}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "must be non-negative and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_unknown_subcommand(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["frobnicate"])

@@ -61,6 +61,12 @@ def test_shadowing_sigma_zero_is_exact():
     assert sample_shadowed_rssi(TX_435, 250.0, 0.0, rng) == friis_rssi(TX_435, 250.0)
 
 
+@pytest.mark.parametrize("sigma", [-1.0, math.nan])
+def test_shadowing_rejects_negative_or_nan_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        sample_shadowed_rssi(TX_435, 250.0, sigma, np.random.default_rng(0))
+
+
 def test_shadowing_deterministic_per_seed():
     a = sample_shadowed_rssi(TX_435, 250.0, 3.0, np.random.default_rng(99))
     b = sample_shadowed_rssi(TX_435, 250.0, 3.0, np.random.default_rng(99))
