@@ -245,17 +245,16 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray):
         counts = np.bincount(labels, minlength=k)
         sum_x = np.bincount(labels, weights=x, minlength=k)
         sum_y = np.bincount(labels, weights=y, minlength=k)
-        if counts.all():
-            new_cx = sum_x / counts
-            new_cy = sum_y / counts
-        else:
-            filled = counts > 0
-            new_cx = np.divide(sum_x, counts, out=np.empty(k), where=filled)
-            new_cy = np.divide(sum_y, counts, out=np.empty(k), where=filled)
+        # an empty cluster divides its zero sums by 1 and is reseeded below
+        divisor = np.maximum(counts, 1)
+        new_cx = sum_x / divisor
+        new_cy = sum_y / divisor
+        if not counts.all():
             # reseed empty clusters at the point farthest from its centroid
+            empty = counts == 0
             far = np.argmax(nearest)
-            new_cx[~filled] = x[far]
-            new_cy[~filled] = y[far]
+            new_cx[empty] = x[far]
+            new_cy[empty] = y[far]
         shift = math.sqrt(_sq_dist(new_cx, new_cy, cx, cy).max())
         cx, cy = new_cx, new_cy
     return np.column_stack([cx, cy]), labels, sse_history
