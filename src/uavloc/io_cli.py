@@ -3,7 +3,10 @@
 Log format: UTF-8, LF line endings, header `t_s,lat_deg,lon_deg,rssi_dbm`,
 floats with up to 9 significant digits. `#`-prefixed lines carry metadata;
 recognized keys are `# survey <id>`, `# cal d0=<m> p0=<dBm> n=<val>
-sigma=<dB>`, and `# target <lat>,<lon>`.
+sigma=<dB>`, and `# target <lat>,<lon>`. Metadata lines and blank lines may
+appear anywhere: before the header, between data rows and after the last one;
+a later line with the same key replaces an earlier one. CRLF files read the
+same as LF files.
 """
 
 from __future__ import annotations
@@ -86,47 +89,55 @@ def write_log(log: ObservationLog, path: str) -> None:
 
 
 def parse_log(path: str) -> ObservationLog:
-    """Strict parse: rejects NaN, out-of-range coordinates, non-monotone time."""
+    """Strict parse: rejects NaN, out-of-range coordinates, non-monotone time.
+
+    The file is read whole and split on LF alone. Universal-newline decoding
+    has already made CRLF and CR into LF, so these are the lines that
+    iterating over the file gives; str.splitlines would also split on form
+    feeds and other separators. Data rows take the first branch of one pass,
+    and their checks are those of GeoPoint and Observation.
+    """
     log = ObservationLog(rows=[])
+    rows = log.rows
     saw_header = False
+    prev_t = -math.inf
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                key, _, rest = body.partition(" ")
-                if key == "survey":
-                    log.survey_id = rest
-                elif key == "cal":
-                    log.cal = _parse_cal_comment(rest, lineno)
-                elif key:
-                    log.meta[key] = rest
-                continue
-            if not saw_header:
-                if line != CSV_HEADER:
-                    raise LogFormatError(f"expected header {CSV_HEADER!r}, got {line!r}",
-                                         line=lineno)
-                saw_header = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise LogFormatError(f"expected 4 fields, got {len(parts)}", line=lineno)
+        lines = f.read().split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split(",")
+        if len(parts) == 4 and saw_header and line[0] != "#":
             try:
-                t, lat, lon, rssi = (float(p) for p in parts)
+                t, lat, lon, rssi = map(float, parts)
             except ValueError:
                 raise LogFormatError(f"non-numeric field in {line!r}", line=lineno)
             try:
-                o = Observation(t=t, pos=GeoPoint(lat, lon), rssi=rssi)
+                o = Observation(t, GeoPoint(lat, lon), rssi)
             except ValueError as e:
                 raise LogFormatError(str(e), line=lineno)
-            if log.rows and t < log.rows[-1].t:
+            if t < prev_t:
                 raise LogFormatError(f"timestamp {t} precedes previous row", line=lineno)
-            log.rows.append(o)
+            prev_t = t
+            rows.append(o)
+        elif not line.strip():
+            continue
+        elif line[0] == "#":
+            key, _, rest = line[1:].strip().partition(" ")
+            if key == "survey":
+                log.survey_id = rest
+            elif key == "cal":
+                log.cal = _parse_cal_comment(rest, lineno)
+            elif key:
+                log.meta[key] = rest
+        elif not saw_header:
+            if line != CSV_HEADER:
+                raise LogFormatError(f"expected header {CSV_HEADER!r}, got {line!r}",
+                                     line=lineno)
+            saw_header = True
+        else:
+            raise LogFormatError(f"expected 4 fields, got {len(parts)}", line=lineno)
     if not saw_header:
         raise LogFormatError("missing header line")
-    if not log.rows:
+    if not rows:
         raise LogFormatError("log contains no observations")
     return log
 
@@ -321,7 +332,10 @@ def cmd_sweep_ma(args) -> int:
     log, cal = _read_obs(args)
     truth = args.truth
     if truth is None and "target" in log.meta:
-        truth = _parse_latlon(log.meta["target"])
+        try:
+            truth = _parse_latlon(log.meta["target"])
+        except argparse.ArgumentTypeError as e:
+            raise LocalizationError(f"bad log line '# target {log.meta['target']}': {e}")
     if truth is None:
         raise LocalizationError("sweep-ma needs --truth (or a '# target' line in the log)")
     template = _estimator_config(args, cal, args.ma_values[0])

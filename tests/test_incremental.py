@@ -4,8 +4,13 @@ The survey diameter is folded in batch by batch and pruned by chord length,
 Lloyd skips the distance rows its bounds rule out and takes centres from
 bincount sums, and reference selection is one lexsort; all must give exactly
 the bits of the full computation. The oracles below are the full-computation
-implementations they replaced.
+implementations they replaced. k-means++ seeding and Lloyd have a dense path
+for windows of at most KMEANS_DENSE_MAX_N points, so their oracle tests run
+each case on both sides of that bound.
 """
+
+import contextlib
+import math
 
 import numpy as np
 import pytest
@@ -83,6 +88,19 @@ def assert_same_lloyd(got, want):
     assert [s.hex() for s in gs] == [s.hex() for s in ws]
 
 
+# KMEANS_DENSE_MAX_N values that put every window on the pruned path, then
+# every window on the dense path
+PATH_BOUNDS = (0, math.inf)
+
+
+@contextlib.contextmanager
+def kmeans_path(bound):
+    """Windows of at most `bound` points take the dense k-means path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cluster, "KMEANS_DENSE_MAX_N", bound)
+        yield
+
+
 def survey(centre, box, offsets):
     """Observations at centre + box * offset (degrees), longitude wrapped."""
     lat0, lon0 = centre
@@ -142,7 +160,9 @@ coords = st.floats(-5000.0, 5000.0, allow_nan=False, allow_infinity=False)
     st.lists(st.tuples(coords, coords), min_size=1, max_size=min(n, 8)))))
 def test_lloyd_matches_mask_and_mean_loop(case):
     pts, centers = (np.asarray(a, dtype=float) for a in case)
-    assert_same_lloyd(_lloyd(pts, centers.copy()), lloyd_oracle(pts, centers.copy()))
+    for bound in PATH_BOUNDS:
+        with kmeans_path(bound):
+            assert_same_lloyd(_lloyd(pts, centers.copy()), lloyd_oracle(pts, centers.copy()))
 
 
 @settings(max_examples=150, deadline=None)
@@ -152,18 +172,22 @@ def test_lloyd_matches_mask_and_mean_loop(case):
 def test_kmeans_pp_init_matches_row_sum_oracle(case):
     pts, k, seed = case
     pts = np.asarray(pts, dtype=float)
-    got = _kmeans_pp_init(pts, k, np.random.default_rng(seed))
     want = kmeans_pp_oracle(pts, k, np.random.default_rng(seed))
-    assert np.array_equal(bits(got), bits(want))
+    for bound in PATH_BOUNDS:
+        with kmeans_path(bound):
+            got = _kmeans_pp_init(pts, k, np.random.default_rng(seed))
+        assert np.array_equal(bits(got), bits(want))
 
 
 def test_lloyd_reseeds_empty_cluster_like_the_loop():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [10.0, 10.0]])
     centers = np.array([[0.0, 0.0], [1000.0, 1000.0], [-900.0, 50.0]])
-    got = _lloyd(pts, centers.copy())
-    assert_same_lloyd(got, lloyd_oracle(pts, centers.copy()))
-    # both far centres start empty and are reseeded at the farthest point
-    assert (got[0] == [10.0, 10.0]).all(axis=1).any()
+    for bound in PATH_BOUNDS:
+        with kmeans_path(bound):
+            got = _lloyd(pts, centers.copy())
+        assert_same_lloyd(got, lloyd_oracle(pts, centers.copy()))
+        # both far centres start empty and are reseeded at the farthest point
+        assert (got[0] == [10.0, 10.0]).all(axis=1).any()
 
 
 grid = st.integers(-6, 6).map(float)
@@ -175,9 +199,11 @@ grid = st.integers(-6, 6).map(float)
     st.lists(st.tuples(grid, grid), min_size=1, max_size=min(n, 6)))))
 def test_lloyd_exact_ties_on_integer_grid(case):
     # integer coordinates give exactly equal distances, so argmin's
-    # first-index rule decides labels; the pruned loop must reproduce it
+    # first-index rule decides labels; both paths must reproduce it
     pts, centers = (np.asarray(a, dtype=float) for a in case)
-    assert_same_lloyd(_lloyd(pts, centers.copy()), lloyd_oracle(pts, centers.copy()))
+    for bound in PATH_BOUNDS:
+        with kmeans_path(bound):
+            assert_same_lloyd(_lloyd(pts, centers.copy()), lloyd_oracle(pts, centers.copy()))
 
 
 @settings(max_examples=300, deadline=None)
@@ -190,11 +216,14 @@ def test_kmeans_pp_draw_matches_rng_choice(case):
     # randomness, leaving the generator in the same state
     pts, k, seed = case
     pts = np.asarray(pts, dtype=float)
-    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _kmeans_pp_init(pts, k, got_rng)
+    want_rng = np.random.default_rng(seed)
     want = kmeans_pp_oracle(pts, k, want_rng)
-    assert np.array_equal(bits(got), bits(want))
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for bound in PATH_BOUNDS:
+        got_rng = np.random.default_rng(seed)
+        with kmeans_path(bound):
+            got = _kmeans_pp_init(pts, k, got_rng)
+        assert np.array_equal(bits(got), bits(want))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @settings(max_examples=100, deadline=None)
@@ -202,7 +231,9 @@ def test_kmeans_pp_draw_matches_rng_choice(case):
        st.tuples(coords, coords))
 def test_lloyd_single_centre(pts, center):
     pts, centers = np.asarray(pts, dtype=float), np.asarray([center], dtype=float)
-    assert_same_lloyd(_lloyd(pts, centers.copy()), lloyd_oracle(pts, centers.copy()))
+    for bound in PATH_BOUNDS:
+        with kmeans_path(bound):
+            assert_same_lloyd(_lloyd(pts, centers.copy()), lloyd_oracle(pts, centers.copy()))
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
@@ -218,8 +249,11 @@ def test_lloyd_iteration_cap_matches_loop(monkeypatch, cap):
         if trial % 2:
             pts = np.round(pts / 250.0)  # integer grid: exact ties
         centers = pts[rng.choice(n, size=int(rng.integers(1, min(n, 8) + 1)), replace=False)]
-        got = _lloyd(pts, centers.copy())
-        assert_same_lloyd(got, lloyd_oracle(pts, centers.copy(), max_iter=cap))
+        want = lloyd_oracle(pts, centers.copy(), max_iter=cap)
+        for bound in PATH_BOUNDS:
+            with kmeans_path(bound):
+                got = _lloyd(pts, centers.copy())
+            assert_same_lloyd(got, want)
         capped += len(got[2]) == cap
     assert capped >= 20
 
@@ -291,7 +325,9 @@ def test_lexsort_reference_selection_matches_min_loop(case):
     st.integers(1, n), st.integers(0, 2**32 - 1))))
 def test_kmeans_returns_a_partition(case):
     pts, k, seed = case
-    cs = kmeans(np.asarray(pts, dtype=float), k, seed)
-    members = [i for c in cs.clusters for i in c]
-    assert sorted(members) == list(range(len(pts)))
-    assert all(c and list(c) == sorted(c) for c in cs.clusters)
+    for bound in PATH_BOUNDS:
+        with kmeans_path(bound):
+            cs = kmeans(np.asarray(pts, dtype=float), k, seed)
+        members = [i for c in cs.clusters for i in c]
+        assert sorted(members) == list(range(len(pts)))
+        assert all(c and list(c) == sorted(c) for c in cs.clusters)

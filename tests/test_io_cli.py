@@ -2,12 +2,14 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uavloc.cluster import Observation
 from uavloc.errors import LogFormatError
 from uavloc.geo import GeoPoint
-from uavloc.io_cli import (CSV_HEADER, ObservationLog, RunReport, build_parser, main, parse_log,
-                           read_report, write_log, write_report)
+from uavloc.io_cli import (CSV_HEADER, ObservationLog, RunReport, _parse_cal_comment,
+                           build_parser, main, parse_log, read_report, write_log, write_report)
 from uavloc.pathloss import Calibration
 
 
@@ -100,6 +102,145 @@ def test_parse_wrong_field_count(tmp_path):
     path.write_text("t_s,lat_deg,lon_deg,rssi_dbm\n0.0,40.0,29.0\n")
     with pytest.raises(LogFormatError, match="line 2"):
         parse_log(str(path))
+
+
+def parse_log_oracle(path: str) -> ObservationLog:
+    """The line-by-line parser that one-pass parse_log replaced: iterate over
+    the file, strip the LF, classify each line, build each row as it comes."""
+    log = ObservationLog(rows=[])
+    saw_header = False
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                key, _, rest = body.partition(" ")
+                if key == "survey":
+                    log.survey_id = rest
+                elif key == "cal":
+                    log.cal = _parse_cal_comment(rest, lineno)
+                elif key:
+                    log.meta[key] = rest
+                continue
+            if not saw_header:
+                if line != CSV_HEADER:
+                    raise LogFormatError(f"expected header {CSV_HEADER!r}, got {line!r}",
+                                         line=lineno)
+                saw_header = True
+                continue
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise LogFormatError(f"expected 4 fields, got {len(parts)}", line=lineno)
+            try:
+                t, lat, lon, rssi = (float(p) for p in parts)
+            except ValueError:
+                raise LogFormatError(f"non-numeric field in {line!r}", line=lineno)
+            try:
+                o = Observation(t=t, pos=GeoPoint(lat, lon), rssi=rssi)
+            except ValueError as e:
+                raise LogFormatError(str(e), line=lineno)
+            if log.rows and t < log.rows[-1].t:
+                raise LogFormatError(f"timestamp {t} precedes previous row", line=lineno)
+            log.rows.append(o)
+    if not saw_header:
+        raise LogFormatError("missing header line")
+    if not log.rows:
+        raise LogFormatError("log contains no observations")
+    return log
+
+
+def spell(v: float, how: str) -> str:
+    """A spelling of v that float() reads back as v."""
+    r = repr(v)
+    if how == "padded":
+        return f" {r} "
+    if how == "plus" and v >= 0:
+        return "+" + r
+    if how == "exponent":
+        return f"{v:.17e}"
+    if v.is_integer() and abs(v) >= 10:
+        sign, digits = "-" * (v < 0), str(abs(int(v)))
+        if how == "underscore":
+            return f"{sign}{digits[0]}_{digits[1:]}"  # 10 -> 1_0
+        if how == "short-exponent" and digits.endswith("0"):
+            zeros = len(digits) - len(digits.rstrip("0"))
+            return f"{sign}{digits[:-zeros]}e{zeros}"  # 100 -> 1e2
+    return r
+
+
+def in_range(lo, hi):
+    return st.one_of(st.integers(int(lo), int(hi)).map(float), st.floats(lo, hi))
+
+
+spellings = st.sampled_from(["repr", "padded", "plus", "exponent", "underscore",
+                             "short-exponent"])
+# blank lines, including whitespace that str.splitlines would split on
+blanks = st.sampled_from(["", " ", "\t", "  \t ", "\x0c", "\x0b"])
+meta_lines = st.one_of(
+    st.text(st.sampled_from("ab ,=_\x0c\x1c\u2028"), max_size=12).map("# survey ".__add__),
+    st.sampled_from(["# cal d0=100 p0=-45.2 n=2 sigma=3", "#cal d0=50 p0=-40 n=2.5",
+                     "# target 40.8,29.35", "# note a,b,c,d", "#", "#   ", "#note x"]),
+    blanks)
+CORRUPTIONS = ["none", "split", "text", "non-finite", "range", "backwards",
+               "backwards-and-text"]
+
+
+@st.composite
+def log_texts(draw):
+    n = draw(st.integers(1, 12))
+    t, rows = 0.0, []
+    for _ in range(n):
+        t += draw(in_range(0.0, 100.0))
+        rows.append([t, draw(in_range(-90.0, 90.0)), draw(in_range(-180.0, 180.0)),
+                     draw(in_range(-200.0, 50.0))])
+    fields = [[spell(v, draw(spellings)) for v in row] for row in rows]
+    # over half the logs are clean
+    corrupt = draw(st.one_of(st.just("none"), st.sampled_from(CORRUPTIONS)))
+    i = draw(st.integers(0, n - 1))
+    if corrupt == "split":  # a 3-field row, then a 5-field one if there is a next row
+        moved = fields[i].pop()
+        if i + 1 < n:
+            fields[i + 1].insert(0, moved)
+    elif corrupt in ("text", "backwards-and-text"):
+        j = draw(st.integers(int(corrupt != "text"), 3))  # leave t to go backwards
+        fields[i][j] = draw(st.sampled_from(["abc", "", "1,5", "0x10"]))
+    elif corrupt == "non-finite":
+        fields[i][draw(st.integers(0, 3))] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+    elif corrupt == "range":
+        j = draw(st.integers(1, 3))
+        fields[i][j] = draw(st.sampled_from({1: ["90.5", "-91"], 2: ["180.001", "-181"],
+                                             3: ["50.5", "-200.01"]}[j]))
+    if corrupt.startswith("backwards") and i > 0:
+        fields[i][0] = repr(rows[i - 1][0] - 1.0)
+    lines = draw(st.lists(meta_lines, max_size=4)) + [CSV_HEADER]
+    for row in fields:
+        lines += draw(st.lists(meta_lines, max_size=2)) + [",".join(row)]
+    lines += draw(st.lists(meta_lines, max_size=3))
+    if draw(st.booleans()):
+        lines.append("# cal d0=80 p0=-50 n=3 sigma=1")  # a calibration after the data
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def parse_outcome(parser, path):
+    try:
+        log = parser(path)
+    except LogFormatError as e:
+        return str(e)
+    rows = [(o.t.hex(), o.pos.lat.hex(), o.pos.lon.hex(), o.rssi.hex()) for o in log.rows]
+    return rows, log.meta, log.cal, log.survey_id
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(log_texts())
+def test_parse_log_matches_line_by_line_oracle(tmp_path, text):
+    # the same rows, meta, calibration and survey id, or the same error text
+    path = tmp_path / "obs.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert parse_outcome(parse_log, str(path)) == parse_outcome(parse_log_oracle, str(path))
 
 
 def test_report_round_trip(tmp_path):
@@ -285,3 +426,16 @@ def test_cli_sweep_ma_rejects_non_positive_ma_before_any_work(tmp_path, capsys):
     assert exc.value.code == 2
     assert "must be positive" in capsys.readouterr().err
     assert not table.exists()
+
+
+@pytest.mark.parametrize("target", ["40.8,abc", "95.0,29.35", "40.8"],
+                         ids=["non-numeric", "latitude-out-of-range", "one-field"])
+def test_cli_sweep_ma_bad_target_line_exits_1(tmp_path, capsys, target):
+    # a bad '# target' line is a log error, reported like one, not a traceback
+    obs = tmp_path / "obs.csv"
+    log = sample_log()
+    log.meta["target"] = target
+    write_log(log, str(obs))
+    assert run_cli(["sweep-ma", "--obs", str(obs), "--ma-values", "50"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("uavloc: error: ") and f"'# target {target}'" in err
