@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -305,26 +304,21 @@ def filter_clusters(cs: ClusterSet, r_thresh: int) -> ClusterSet:
 
 
 def select_reference_nodes(cs: ClusterSet, obs, xy: np.ndarray, rssi: np.ndarray,
-                           t: np.ndarray, cal: Calibration):
-    """One reference node per cluster: the strongest-RSSI member.
+                           cal: Calibration):
+    """One reference node per cluster: its first strongest-RSSI member.
 
-    Ties are broken by earliest timestamp, then by member order. Row i of the
-    xy, rssi and t columns belongs to obs[i]; xy holds the planar projections
-    the clustering ran on. One lexsort over all members of all clusters, keyed
-    by cluster, then -rssi, then t, puts each cluster's choice first in its
-    run of members.
+    Row i of the xy and rssi columns belongs to obs[i]; xy holds the planar
+    projections the clustering ran on. Rows must be in time order (t never
+    decreasing), as the estimator keeps them. Members are ascending row
+    indices, so among equally strong members the first is the earliest,
+    and on equal timestamps the first in member order.
     """
-    sizes = np.array([len(c) for c in cs.clusters], dtype=np.intp)
-    idx = np.fromiter(chain.from_iterable(cs.clusters),
-                      dtype=np.intp, count=int(sizes.sum()))
-    group = np.repeat(np.arange(len(sizes)), sizes)
-    order = np.lexsort((t[idx], -rssi[idx], group))
-    best = idx[order[np.cumsum(sizes) - sizes]]
     refs = []
-    for i, pos in zip(best.tolist(), xy[best].tolist()):
+    for members in cs.clusters:
+        i = members[int(rssi[list(members)].argmax())]
         o = obs[i]
         refs.append(ReferenceNode(
-            pos_planar=PlanarPoint(*pos),
+            pos_planar=PlanarPoint(*xy[i].tolist()),
             pos_geo=o.pos,
             rssi=o.rssi,
             distance=rssi_to_distance(o.rssi, cal),

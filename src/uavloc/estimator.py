@@ -7,16 +7,16 @@ smallest least-squares residual.
 
 Work that only grows with the window is carried across iterations: each
 iteration thresholds and projects only the samples that arrived since the
-last one, and appends them to the kept samples and to their columns (planar
-positions as one (N, 2) array, RSSI and timestamps). Clustering (k-means++
-init and Lloyd), the size filter, reference selection and the SVD solve run
-over all kept samples every iteration, but two stages skip what cannot change
-their answer (see `cluster`): the survey diameter passes to the haversine
-only the new samples' pairs whose squared chord, from one matmul of unit
-vectors, is within a proven error margin of the largest, and Lloyd computes
-a full row of centre distances only for the points whose triangle-inequality
-bound does not rule out a change of label. Both margins dominate float
-rounding, so every reported bit is that of the full computation.
+last one, and appends them to the kept samples and to two columns: planar
+positions as one (N, 2) array, and RSSI. The survey diameter is folded in
+the same way (see `cluster.SurveyDiameter`). Clustering, the size filter,
+reference selection and the SVD solve run over all kept samples every
+iteration.
+
+`ingest` rejects a sample whose timestamp goes backwards, and kept samples
+are appended in ingest order, so row order is time order. Reference
+selection relies on that to break RSSI ties toward the earliest sample, and
+needs no timestamp column.
 """
 
 from __future__ import annotations
@@ -96,7 +96,6 @@ class Estimator:
         self._kept: list[cl.Observation] = []
         self._xy = np.empty((0, 2))  # planar positions of _kept
         self._rssi = np.empty(0)
-        self._t = np.empty(0)
         self._diameter = cl.SurveyDiameter()
 
     def ingest(self, o: cl.Observation) -> IterationResult | None:
@@ -142,7 +141,6 @@ class Estimator:
             self._kept += new_kept
             self._xy = np.concatenate([self._xy, [(p.x, p.y) for p in new_points]])
             self._rssi = np.concatenate([self._rssi, [o.rssi for o in new_kept]])
-            self._t = np.concatenate([self._t, [o.t for o in new_kept]])
         kept = self._kept
         if not kept:
             return skipped("no observations above rssi threshold")
@@ -151,7 +149,7 @@ class Estimator:
         cs = cl.filter_clusters(cs, cfg.r_thresh_for(index))
         if len(cs.clusters) < 3:
             return skipped(f"only {len(cs.clusters)} clusters survive size filter")
-        refs = cl.select_reference_nodes(cs, kept, self._xy, self._rssi, self._t, cfg.cal)
+        refs = cl.select_reference_nodes(cs, kept, self._xy, self._rssi, cfg.cal)
         try:
             estimate, residual_rms, condition = estimate_position(refs, self.origin)
         except (InsufficientReferencesError, DegenerateGeometryError) as e:

@@ -1,9 +1,9 @@
 """Kinematic fixed-wing flight simulator and RF measurement generation.
 
 Trajectories are waypoint-following at constant speed (no aerodynamics);
-RSSI samples come from the free-space model plus log-normal shadowing at a
-1 Hz default cadence. Also hosts the plain-SVD baseline and the cluster
-granularity sweep used for evaluation.
+RSSI samples come from the free-space model plus log-normal shadowing, one
+every SAMPLE_PERIOD_S seconds (1 Hz). Also hosts the plain-SVD baseline and
+the cluster granularity sweep used for evaluation.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import dataclasses
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .pathloss import Calibration, TxParams, rssi_to_distance, sample_shadowed_r
 log = logging.getLogger(__name__)
 
 SPEED_OF_LIGHT = 299_792_458.0
+SAMPLE_PERIOD_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -60,10 +62,12 @@ class FlightPlan:
     def path_length(self) -> float:
         if self.kind == "loiter":
             return 2.0 * math.pi * self.radius * self.turns
-        lanes = self._lane_ys()
+        lanes = self._lane_ys
         return len(lanes) * self.width + (len(lanes) - 1) * abs(lanes[1] - lanes[0])
 
+    @cached_property
     def _lane_ys(self):
+        """Lawnmower lane y offsets, computed once per plan."""
         n_lanes = max(2, int(round(self.height / self.spacing)) + 1)
         return np.linspace(-self.height / 2.0, self.height / 2.0, n_lanes)
 
@@ -72,7 +76,7 @@ class FlightPlan:
         if self.kind == "loiter":
             phi = s / self.radius
             return PlanarPoint(self.radius * math.cos(phi), self.radius * math.sin(phi))
-        lanes = self._lane_ys()
+        lanes = self._lane_ys
         gap = abs(lanes[1] - lanes[0])
         leg = self.width + gap  # one lane plus the transition to the next
         s = min(s, self.path_length())
@@ -96,11 +100,6 @@ class SimScenario:
     tx: TxParams
     sigma_db: float
     seed: int
-    sample_period: float = 1.0
-
-    def __post_init__(self):
-        if not self.sample_period > 0:
-            raise ValueError(f"sample_period must be positive, got {self.sample_period}")
 
 
 def generate_trajectory(plan: FlightPlan, duration: float, dt: float):
@@ -116,7 +115,7 @@ def generate_trajectory(plan: FlightPlan, duration: float, dt: float):
 
 
 def simulate_observations(sc: SimScenario, duration: float):
-    """One shadowed RSSI observation per sample period; deterministic per seed.
+    """One shadowed RSSI observation every SAMPLE_PERIOD_S; deterministic per seed.
 
     Samples coincident with the target (distance 0) are skipped with a
     warning, since the free-space model is singular there.
@@ -124,7 +123,7 @@ def simulate_observations(sc: SimScenario, duration: float):
     rng = np.random.default_rng(sc.seed)
     obs = []
     skipped = 0
-    for t, pos in generate_trajectory(sc.plan, duration, sc.sample_period):
+    for t, pos in generate_trajectory(sc.plan, duration, SAMPLE_PERIOD_S):
         d = haversine(pos, sc.target)
         if d == 0.0:
             skipped += 1

@@ -16,9 +16,9 @@ def obs_at(x, y, rssi, t=0.0):
 
 
 def columns(obs):
-    """Planar positions, RSSI and timestamps of obs, as the estimator carries them."""
+    """Planar positions and RSSI of obs, as the estimator carries them."""
     xy = np.array([(p.x, p.y) for p in (project(ORIGIN, o.pos) for o in obs)])
-    return xy, np.array([o.rssi for o in obs]), np.array([o.t for o in obs])
+    return xy, np.array([o.rssi for o in obs])
 
 
 def test_threshold_disabled():

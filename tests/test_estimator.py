@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from uavloc import cluster
 from uavloc.cluster import Observation
 from uavloc.errors import NoEstimateError, ObservationOrderError
 from uavloc.estimator import Estimator, EstimatorConfig, IterationResult
@@ -184,3 +185,37 @@ def test_far_svd_solution_skips_instead_of_raising():
     assert "condition" in r.reason and "latitude" in r.reason
     with pytest.raises(NoEstimateError):
         est.best_estimate()
+
+
+def test_reference_selection_sees_time_ordered_rows(monkeypatch):
+    # four tight groups 1 km apart, visited in turn; eight rows share each
+    # timestamp, and each group's strongest RSSI is an equal pair: rows
+    # m = 2 and 3 (same timestamp) in group 0, m = 2 and 7 in the others.
+    # m = 0 falls below min_dbm, so kept rows are a subset of ingested rows.
+    calls = []
+    select = cluster.select_reference_nodes
+
+    def recording(cs, obs, xy, rssi, cal):
+        refs = select(cs, obs, xy, rssi, cal)
+        calls.append((list(obs), rssi, refs))
+        return refs
+
+    monkeypatch.setattr(cluster, "select_reference_nodes", recording)
+    corners = [(0.0, 0.0), (1000.0, 0.0), (0.0, 1000.0), (1000.0, 1000.0)]
+    rows = {}
+    for j in range(40):
+        g, m = j % 4, j // 4
+        pair = (2, 3) if g == 0 else (2, 7)
+        rssi = -95.0 if m == 0 else -60.0 if m in pair else -70.0 - m
+        rows[g, m] = obs_at(j // 8, corners[g][0] + m, corners[g][1], rssi)
+    est = Estimator(config(ma=400.0, batch_size=20, min_dbm=-80.0, r_thresh=1))
+    for j in range(40):
+        est.ingest(rows[j % 4, j // 4])
+    assert len(calls) == 2
+    for obs, rssi, refs in calls:
+        times = [o.t for o in obs]
+        assert times == sorted(times)
+        assert rssi.tolist() == [o.rssi for o in obs]
+        # the earlier row of each pair is its group's anchor
+        anchors = {(r.pos_geo.lat, r.pos_geo.lon) for r in refs}
+        assert anchors == {(rows[g, 2].pos.lat, rows[g, 2].pos.lon) for g in range(4)}
