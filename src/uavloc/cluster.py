@@ -25,6 +25,13 @@ LLOYD_FLOOR_M = 1e-150
 # init + Lloyd is faster up to about 100 points and slower from 150 on. At 64
 # the matrix stays within 32 KB.
 KMEANS_DENSE_MAX_N = 64
+# Lloyd also runs dense, on any n, with at most this many centres: a full row
+# is then so short that the pruning bookkeeping costs as much as the distances
+# it saves, or more. Dense / pruned Lloyd time from k-means++ centres on 35
+# gtu-sim and loiter estimator windows of more than 64 points (2 vCPUs,
+# Python 3.11, numpy 2.4): k=2 0.80, k=3 0.99, k=4 1.03, k=5 1.05, k=8 1.30;
+# on the loiter survey's own k=3 windows, 0.76.
+LLOYD_DENSE_MAX_K = 3
 # Squared-chord slack of the survey-diameter pruning, on the unit sphere
 # (at least 0.16 um on the ground; see SurveyDiameter).
 CHORD2_MARGIN = 1e-13
@@ -82,7 +89,10 @@ class SurveyDiameter:
     largest squared chord falls short of the running largest by more than
     CHORD2_MARGIN cannot raise the maximum, and returns at once. Otherwise
     only the pairs within CHORD2_MARGIN of the largest are passed to the
-    haversine expression.
+    haversine expression, and only the new rows whose own largest squared
+    chord comes that close are searched for them. fl(2 - 2g) is monotone in
+    g, so a row's largest squared chord is that of its smallest cosine, and
+    the rows skipped hold no such pair.
 
     The margin bounds the error of a computed squared chord c2 against the
     exact |u - v|^2 of the radian coordinates, with eps = 2^-53. Each unit
@@ -127,13 +137,13 @@ class SurveyDiameter:
         lon = self.lon = np.concatenate([self.lon, new_lon])
         unit = self.unit = np.concatenate([self.unit, new_unit])
         g = new_unit @ unit.T  # cosines, new rows x all rows
-        batch_chord2 = 2.0 - 2.0 * float(g.min())
-        if batch_chord2 < self.chord2 - CHORD2_MARGIN:
+        row_chord2 = 2.0 - 2.0 * g.min(axis=1)  # each new row's largest squared chord
+        self.chord2 = max(self.chord2, float(row_chord2.max()))
+        rows = np.flatnonzero(row_chord2 >= self.chord2 - CHORD2_MARGIN)
+        if not len(rows):
             return self.value
-        self.chord2 = max(self.chord2, batch_chord2)
-        g *= -2.0
-        g += 2.0  # squared chords, in place
-        i, j = np.nonzero(g >= self.chord2 - CHORD2_MARGIN)
+        r, j = np.nonzero(2.0 - 2.0 * g[rows] >= self.chord2 - CHORD2_MARGIN)
+        i = rows[r]
         dlat = new_lat[i] - lat[j]
         dlon = new_lon[i] - lon[j]
         h = (np.sin(dlat / 2.0) ** 2
@@ -171,8 +181,11 @@ def _sq_dist(ax, ay, bx, by):
     return dx * dx + dy * dy
 
 
-def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator):
     """k-means++ seeding: D^2-weighted sampling of initial centers.
+
+    Returns (centers, rows): rows[j] holds every point's squared distance to
+    centers[j], the (k, n) full rows of Lloyd's first step, bit for bit.
 
     Each weighted draw is rng.choice(n, p=d2 / d2.sum()) written out without
     re-validating p: the same CDF (add.accumulate is the sequential sum cumsum
@@ -190,7 +203,8 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
         def row(c):
             return _sq_dist(x, y, *pts[c].tolist())
     chosen = [rng.integers(n)]
-    d2 = row(chosen[0]).copy()  # np.minimum writes into d2 below
+    rows = [row(chosen[0])]
+    d2 = rows[0].copy()  # np.minimum writes into d2 below
     cdf = np.empty(n)
     for _ in range(1, k):
         total = d2.sum()
@@ -202,17 +216,20 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
             cdf /= cdf[-1]
             c = cdf.searchsorted(rng.random(), side="right")
         chosen.append(c)
-        np.minimum(d2, row(c), out=d2)
-    return pts[chosen]
+        rows.append(row(c))
+        np.minimum(d2, rows[-1], out=d2)
+    return pts[chosen], np.array(rows)
 
 
-def _lloyd(pts: np.ndarray, centers: np.ndarray):
+def _lloyd(pts: np.ndarray, centers: np.ndarray, rows: np.ndarray | None = None):
     """Lloyd iterations; returns (centers, labels, sse_history).
 
     Each step labels every point against the current centres and stops once
     the last move was below KMEANS_TOL_M or KMEANS_MAX_ITER moves were made;
     otherwise it records the SSE and moves each centre to its members' mean.
-    So the labels returned are those of the centres returned.
+    So the labels returned are those of the centres returned. rows, if
+    given, are the first step's full rows as `_kmeans_pp_init` returns them;
+    they may be overwritten.
 
     Each point carries its exact distance to its own centre and a lower bound
     on its distance to every other one, lowered each step by the last move's
@@ -223,14 +240,16 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray):
     SSE are those of the plain loop bit for bit (argmin's first-index rule).
     The full rows are laid out (k, m), centres down and points along the
     contiguous axis, so argmin and min reduce over the k rows; (c - p)^2 has
-    the bits of (p - c)^2. A window of at most KMEANS_DENSE_MAX_N points
-    skips the bounds: every point gets a full row on every step.
+    the bits of (p - c)^2. A window of at most KMEANS_DENSE_MAX_N points, or
+    with at most LLOYD_DENSE_MAX_K centres, skips the bounds: every point
+    gets a full row on every step.
     """
     k = len(centers)
     n = len(pts)
     x, y = _columns(pts)
     cx, cy = _columns(centers)
-    dense = n <= KMEANS_DENSE_MAX_N
+    d2 = _sq_dist(cx[:, None], cy[:, None], x, y) if rows is None else rows  # step 0's rows
+    dense = n <= KMEANS_DENSE_MAX_N or k <= LLOYD_DENSE_MAX_K
     labels = np.empty(n, dtype=np.intp)
     nearest = np.empty(n)
     lower = np.empty(n)
@@ -240,7 +259,8 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray):
     shift = math.inf
     for step in range(KMEANS_MAX_ITER + 1):
         if dense:
-            d2 = _sq_dist(cx[:, None], cy[:, None], x, y)
+            if step:
+                d2 = _sq_dist(cx[:, None], cy[:, None], x, y)
             labels = d2.argmin(axis=0)
             nearest = d2.min(axis=0)
         else:
@@ -251,8 +271,8 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray):
                 test *= 1.0 + LLOYD_MARGIN
                 test += LLOYD_FLOOR_M
                 stale = np.flatnonzero(test >= lower)
-            if len(stale):
                 d2 = _sq_dist(cx[:, None], cy[:, None], x[stale], y[stale])
+            if len(stale):
                 own = d2.argmin(axis=0)
                 cols = np.arange(len(stale))
                 labels[stale] = own
@@ -290,7 +310,7 @@ def kmeans(pts: np.ndarray, k: int, seed: int) -> ClusterSet:
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
     rng = np.random.default_rng(seed)
-    _, labels, _ = _lloyd(pts, _kmeans_pp_init(pts, k, rng))
+    _, labels, _ = _lloyd(pts, *_kmeans_pp_init(pts, k, rng))
     # one stable argsort lists every cluster's members in index order
     order = np.argsort(labels, kind="stable").tolist()
     ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()

@@ -6,8 +6,9 @@ so far. The final answer is the estimate from the iteration with the
 smallest least-squares residual.
 
 Work that only grows with the window is carried across iterations: each
-iteration thresholds and projects only the samples that arrived since the
-last one, and appends them to the kept samples and to two columns: planar
+iteration thresholds only the samples that arrived since the last one,
+projects the newly kept ones in one `project` call on their coordinate
+columns, and appends them to the kept samples and to two columns: planar
 positions as one (N, 2) array, and RSSI. The survey diameter is folded in
 the same way (see `cluster.SurveyDiameter`). Clustering, the size filter,
 reference selection and the SVD solve run over all kept samples every
@@ -132,24 +133,24 @@ class Estimator:
                                    status="skipped", reason=reason)
 
         new_kept = cl.threshold_rssi(self.observations[self._seen:], cfg.min_dbm)
-        try:
-            new_points = [project(self.origin, o.pos) for o in new_kept]
-        except ValueError as e:
-            return skipped(str(e))
-        self._seen = n_obs
         if new_kept:
+            try:
+                x, y = project(self.origin, [o.pos.lat for o in new_kept],
+                               [o.pos.lon for o in new_kept])
+            except ValueError as e:
+                return skipped(str(e))
             self._kept += new_kept
-            self._xy = np.concatenate([self._xy, [(p.x, p.y) for p in new_points]])
+            self._xy = np.concatenate([self._xy, np.column_stack([x, y])])
             self._rssi = np.concatenate([self._rssi, [o.rssi for o in new_kept]])
-        kept = self._kept
-        if not kept:
+        self._seen = n_obs
+        if not self._kept:
             return skipped("no observations above rssi threshold")
-        k = cl.compute_k(kept, cfg.ma, self._diameter)
+        k = cl.compute_k(self._kept, cfg.ma, self._diameter)
         cs = cl.kmeans(self._xy, k, _iteration_seed(cfg.seed, index))
         cs = cl.filter_clusters(cs, cfg.r_thresh_for(index))
         if len(cs.clusters) < 3:
             return skipped(f"only {len(cs.clusters)} clusters survive size filter")
-        refs = cl.select_reference_nodes(cs, kept, self._xy, self._rssi, cfg.cal)
+        refs = cl.select_reference_nodes(cs, self._kept, self._xy, self._rssi, cfg.cal)
         try:
             estimate, residual_rms, condition = estimate_position(refs, self.origin)
         except (InsufficientReferencesError, DegenerateGeometryError) as e:

@@ -3,12 +3,16 @@
 All distances are in meters on a spherical Earth of radius 6 371 000 m.
 The projection is a local equirectangular plane about a survey origin,
 accurate to well under 0.1% inside the survey areas this pipeline targets.
+It takes latitude and longitude columns in degrees and returns x and y
+columns, so a batch of samples is projected in one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -56,20 +60,33 @@ def haversine(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
 
-def project(origin: GeoPoint, p: GeoPoint) -> PlanarPoint:
-    """Project p onto the local tangent plane about origin.
+def project(origin: GeoPoint, lat, lon):
+    """Project degree coordinates onto the local tangent plane about origin.
 
-    Raises ValueError if p is more than 100 km from origin, where the
-    small-area assumption no longer holds.
+    lat and lon are scalars or 1-D columns of equal length; returns (x, y),
+    meters east and north, of the same shape. Each row gets the bits of the
+    scalar formula (np.radians and math.radians round alike).
+
+    Raises ValueError if a row is more than 100 km from origin, where the
+    small-area assumption no longer holds. R (|dlat| + |dlon|) is at least
+    the length of a path along the meridian and then the parallel, so at
+    least the great-circle distance; a row where it stays 1e-9 relative
+    below the limit is within range. Every other row is decided by
+    `haversine` itself, in row order, so the error names the first far row
+    with the distance `haversine` gives.
     """
-    d = haversine(origin, p)
-    if d > MAX_PROJECTION_RANGE_M:
-        raise ValueError(
-            f"point {d:.0f} m from origin exceeds projection range "
-            f"({MAX_PROJECTION_RANGE_M:.0f} m)")
-    x = EARTH_RADIUS_M * math.radians(p.lon - origin.lon) * math.cos(math.radians(origin.lat))
-    y = EARTH_RADIUS_M * math.radians(p.lat - origin.lat)
-    return PlanarPoint(x, y)
+    lat = np.asarray(lat, dtype=float)
+    lon = np.asarray(lon, dtype=float)
+    dlat = np.radians(lat - origin.lat)
+    dlon = np.radians(lon - origin.lon)
+    reach = np.abs(dlat) + np.abs(dlon)
+    for i in np.flatnonzero(reach * EARTH_RADIUS_M >= MAX_PROJECTION_RANGE_M * (1.0 - 1e-9)):
+        d = haversine(origin, GeoPoint(float(lat.flat[i]), float(lon.flat[i])))
+        if d > MAX_PROJECTION_RANGE_M:
+            raise ValueError(
+                f"point {d:.0f} m from origin exceeds projection range "
+                f"({MAX_PROJECTION_RANGE_M:.0f} m)")
+    return EARTH_RADIUS_M * dlon * math.cos(math.radians(origin.lat)), EARTH_RADIUS_M * dlat
 
 
 def unproject(origin: GeoPoint, q: PlanarPoint) -> GeoPoint:

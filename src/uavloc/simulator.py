@@ -62,24 +62,24 @@ class FlightPlan:
     def path_length(self) -> float:
         if self.kind == "loiter":
             return 2.0 * math.pi * self.radius * self.turns
-        lanes = self._lane_ys
-        return len(lanes) * self.width + (len(lanes) - 1) * abs(lanes[1] - lanes[0])
+        return self._lanes[2]
 
     @cached_property
-    def _lane_ys(self):
-        """Lawnmower lane y offsets, computed once per plan."""
+    def _lanes(self):
+        """Lawnmower lane y offsets, lane gap and path length, computed once per plan."""
         n_lanes = max(2, int(round(self.height / self.spacing)) + 1)
-        return np.linspace(-self.height / 2.0, self.height / 2.0, n_lanes)
+        ys = np.linspace(-self.height / 2.0, self.height / 2.0, n_lanes)
+        gap = abs(ys[1] - ys[0])
+        return ys, gap, len(ys) * self.width + (len(ys) - 1) * gap
 
     def position_at(self, s: float) -> PlanarPoint:
         """Planar position after arc length s meters along the path."""
         if self.kind == "loiter":
             phi = s / self.radius
             return PlanarPoint(self.radius * math.cos(phi), self.radius * math.sin(phi))
-        lanes = self._lane_ys
-        gap = abs(lanes[1] - lanes[0])
+        lanes, gap, length = self._lanes
         leg = self.width + gap  # one lane plus the transition to the next
-        s = min(s, self.path_length())
+        s = min(s, length)
         i = min(int(s // leg), len(lanes) - 1)
         r = s - i * leg
         y = lanes[i]
@@ -142,9 +142,10 @@ def evaluate(estimate: GeoPoint, truth: GeoPoint) -> float:
 
 def run_baseline_svd(obs, cal: Calibration, origin: GeoPoint) -> GeoPoint:
     """Plain-SVD baseline: every observation becomes a reference node."""
-    refs = [ReferenceNode(pos_planar=project(origin, o.pos), pos_geo=o.pos,
+    x, y = project(origin, [o.pos.lat for o in obs], [o.pos.lon for o in obs])
+    refs = [ReferenceNode(pos_planar=PlanarPoint(px, py), pos_geo=o.pos,
                           rssi=o.rssi, distance=rssi_to_distance(o.rssi, cal))
-            for o in obs]
+            for o, px, py in zip(obs, x.tolist(), y.tolist())]
     estimate, _, _ = estimate_position(refs, origin)
     return estimate
 
@@ -196,6 +197,20 @@ def gtu_sim_scenario(seed: int = 0, sigma_db: float = 3.0) -> SimScenario:
                        sigma_db=sigma_db, seed=seed)
 
 
+def loiter_scenario(seed: int = 0, sigma_db: float = 3.0) -> SimScenario:
+    """10-turn, 150 m loiter about a point 50 m east of the gtu-sim target.
+
+    The paper's circular survey: its diameter is constant (300 m), so at
+    ma=130 every iteration clusters into k=3 and solves an exactly
+    determined 3-anchor system.
+    """
+    gtu = gtu_sim_scenario(seed=seed, sigma_db=sigma_db)
+    return dataclasses.replace(gtu, plan=FlightPlan(
+        kind="loiter", center=unproject(gtu.target, PlanarPoint(50.0, 0.0)),
+        speed=gtu.plan.speed, radius=150.0, turns=10.0))
+
+
 SCENARIOS = {
     "gtu-sim": gtu_sim_scenario,
+    "loiter": loiter_scenario,
 }

@@ -17,7 +17,7 @@ def obs_at(x, y, rssi, t=0.0):
 
 def columns(obs):
     """Planar positions and RSSI of obs, as the estimator carries them."""
-    xy = np.array([(p.x, p.y) for p in (project(ORIGIN, o.pos) for o in obs)])
+    xy = np.column_stack(project(ORIGIN, [o.pos.lat for o in obs], [o.pos.lon for o in obs]))
     return xy, np.array([o.rssi for o in obs])
 
 
@@ -112,7 +112,7 @@ def test_kmeans_rejects_bad_k():
 def test_lloyd_sse_non_increasing():
     rng = np.random.default_rng(12)
     pts = rng.uniform(0, 1000, size=(120, 2))
-    centers = _kmeans_pp_init(pts, 6, rng)
+    centers, _ = _kmeans_pp_init(pts, 6, rng)
     _, _, sse = _lloyd(pts, centers)
     assert all(a >= b - 1e-9 for a, b in zip(sse, sse[1:]))
 

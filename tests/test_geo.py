@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uavloc.geo import EARTH_RADIUS_M, GeoPoint, PlanarPoint, haversine, project, unproject
+from uavloc.geo import (EARTH_RADIUS_M, MAX_PROJECTION_RANGE_M, GeoPoint, PlanarPoint,
+                        haversine, project, unproject)
 
 
 def test_geopoint_bounds():
@@ -42,25 +45,25 @@ def test_haversine_symmetric():
 
 def test_project_origin_is_zero():
     o = GeoPoint(40.8, 29.35)
-    q = project(o, o)
-    assert q.x == 0.0 and q.y == 0.0
+    x, y = project(o, o.lat, o.lon)
+    assert x == 0.0 and y == 0.0
 
 
 def test_project_equator_milli_degree():
-    q = project(GeoPoint(0.0, 0.0), GeoPoint(0.0, 0.001))
-    assert abs(q.x - 111.19492664) < 1e-3
-    assert abs(q.y) < 1e-9
+    x, y = project(GeoPoint(0.0, 0.0), 0.0, 0.001)
+    assert abs(x - 111.19492664) < 1e-3
+    assert abs(y) < 1e-9
 
 
 def test_project_cos_scaling_at_60deg():
-    q = project(GeoPoint(60.0, 0.0), GeoPoint(60.0, 0.001))
-    assert abs(q.x - 55.59746332) < 1e-3
-    assert abs(q.y) < 1e-9
+    x, y = project(GeoPoint(60.0, 0.0), 60.0, 0.001)
+    assert abs(x - 55.59746332) < 1e-3
+    assert abs(y) < 1e-9
 
 
 def test_project_rejects_far_points():
     with pytest.raises(ValueError):
-        project(GeoPoint(0.0, 0.0), GeoPoint(0.0, 2.0))
+        project(GeoPoint(0.0, 0.0), 0.0, 2.0)
 
 
 def test_unproject_origin():
@@ -80,8 +83,7 @@ def test_round_trip_within_10km():
     rng = np.random.default_rng(11)
     for _ in range(200):
         p = GeoPoint(o.lat + rng.uniform(-0.05, 0.05), o.lon + rng.uniform(-0.05, 0.05))
-        q = project(o, p)
-        back = unproject(o, q)
+        back = unproject(o, PlanarPoint(*project(o, p.lat, p.lon)))
         assert abs(back.lat - p.lat) < 1e-9
         assert abs(back.lon - p.lon) < 1e-9
 
@@ -95,5 +97,61 @@ def test_planar_norm_tracks_haversine():
         h = haversine(o, p)
         if h < 1.0:
             continue
-        q = project(o, p)
-        assert abs(math.hypot(q.x, q.y) - h) / h < 1e-3
+        x, y = project(o, p.lat, p.lon)
+        assert abs(math.hypot(x, y) - h) / h < 1e-3
+
+
+def scalar_project(o, lat, lon):
+    """The one-point formula project() must reproduce on every row."""
+    x = EARTH_RADIUS_M * math.radians(lon - o.lon) * math.cos(math.radians(o.lat))
+    y = EARTH_RADIUS_M * math.radians(lat - o.lat)
+    return x, y
+
+
+# offsets up to 0.5 degree, all within 100 km of the origin below 60 degrees
+offsets = st.floats(-0.5, 0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-60.0, 60.0), st.floats(-179.0, 179.0),
+       st.lists(st.tuples(offsets, offsets), min_size=1, max_size=40))
+def test_batch_project_equals_scalar_formula_bitwise(lat0, lon0, rows):
+    o = GeoPoint(lat0, lon0)
+    lat = [lat0 + a for a, _ in rows]
+    lon = [lon0 + b for _, b in rows]
+    x, y = project(o, lat, lon)
+    assert x.shape == y.shape == (len(rows),)
+    for i, (la, lo) in enumerate(zip(lat, lon)):
+        want = scalar_project(o, la, lo)
+        assert (x[i].hex(), y[i].hex()) == (want[0].hex(), want[1].hex())
+        one = project(o, la, lo)
+        assert (float(one[0]).hex(), float(one[1]).hex()) == (want[0].hex(), want[1].hex())
+
+
+def test_projection_guard_names_first_far_row():
+    # along the equator and the meridian from (0, 0), haversine is R * angle:
+    # rows within 1 mm of the limit on either side, one far row among them
+    # and a second, farther one after it
+    o = GeoPoint(0.0, 0.0)
+
+    def at(d, east):
+        deg = math.degrees(d / EARTH_RADIUS_M)
+        return (0.0, deg) if east else (deg, 0.0)
+
+    limit = MAX_PROJECTION_RANGE_M
+    inside = [at(limit - dd, east) for dd in (1e-3, 1e-6, 1e-9) for east in (True, False)]
+    # about 90 km north-east: in range, though |dlat| + |dlon| reaches 127 km
+    inside.append((math.degrees(63.6e3 / EARTH_RADIUS_M),) * 2)
+    first_far, second_far = at(limit + 4e-4, False), at(1.2 * limit, True)
+    assert all(haversine(o, GeoPoint(*p)) <= limit for p in inside)
+    assert haversine(o, GeoPoint(*first_far)) > limit
+    x, _ = project(o, *zip(*inside))
+    assert len(x) == len(inside)
+    rows = inside[:3] + [first_far] + inside[3:] + [second_far]
+    d = haversine(o, GeoPoint(*first_far))
+    with pytest.raises(ValueError) as exc:
+        project(o, *zip(*rows))
+    assert str(exc.value) == (f"point {d:.0f} m from origin exceeds projection range "
+                              f"({limit:.0f} m)")
+    with pytest.raises(ValueError, match="point 120000 m"):
+        project(o, *zip(*(inside + [second_far])))

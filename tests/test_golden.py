@@ -1,20 +1,54 @@
-"""Golden reports: `uavloc estimate` output for gtu-sim seed 0 must stay
-byte-identical. The digests were recorded before the estimator carried its
-kept samples, projections and survey diameter across batches; a change that
-moves any reported bit must say so and re-record them.
+"""Golden reports: `uavloc estimate` outputs must stay byte-identical.
+
+GOLDEN pins the report for gtu-sim seed 0. The digests were recorded before
+the estimator carried its kept samples, projections and survey diameter
+across batches; a change that moves any reported bit must say so and
+re-record them.
+
+AGGREGATES pins every report of three benchmark seed sets: the sha256 of the
+reports' sha256 hex digests, concatenated in seed order. Each report is
+`uavloc estimate --truth <log target> <workload flags>` on the log the
+benchmark writes for that seed (`perfbench/workloads.py`). The loiter set
+clusters windows of more than 64 points into k = 3, so it covers Lloyd's
+dense path above the window bound.
 """
 
 import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
-from uavloc.io_cli import main
+from uavloc.io_cli import main, parse_log
 
 GOLDEN = {
     "acceptance": (["--ma", "20", "--min-rssi", "-46", "--r-thresh", "1"],
                    "6ab3f7aede57d3c185b07708b4ed923fe5211f7c9f17e0455f3e682f2ba7dae6"),
     "default": ([], "205072e4ab01a1d6f5add0d61727f0e3d5833cf50c1057c94b4ca2d8efa2718a"),
 }
+
+# workload -> (log seeds 0 .. n-1, aggregate digest)
+AGGREGATES = {
+    "gtu-accept": (20, "15e8b84e9720fc33fb43ecff6d64e9ba0e96c5de8448a016761418f5207902da"),
+    "loiter": (20, "0f8a74ee873a60245e289c2649f3ab54d69fd55dfe0c155a9f1b4691bd4b2fd4"),
+    "gtu-default": (3, "e3675d3f9630966dbee5eda02521faf7592e4f4be0e52b688048229aaa00a7dd"),
+}
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve string annotations through sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
 
 
 @pytest.fixture(scope="module")
@@ -24,9 +58,37 @@ def gtu_sim_log(tmp_path_factory):
     return path
 
 
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("flags", sorted(GOLDEN))
 def test_estimate_report_byte_identical(gtu_sim_log, tmp_path, flags):
     argv, digest = GOLDEN[flags]
     out = tmp_path / "report.json"
     assert main(["estimate", "--obs", str(gtu_sim_log), "--out", str(out)] + argv) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert sha256(out) == digest
+
+
+@pytest.mark.parametrize("name", sorted(AGGREGATES))
+def test_workload_reports_byte_identical(workloads, tmp_path, name):
+    wl = workloads.WORKLOADS[name]
+    logs, want = AGGREGATES[name]
+    digests = []
+    for seed in range(logs):
+        log, report = str(tmp_path / f"{seed}.csv"), str(tmp_path / f"{seed}.json")
+        workloads.write_survey_log(wl, seed, log)
+        argv = ["estimate", "--obs", log, "--out", report,
+                "--truth", parse_log(log).meta["target"]] + wl.cli_flags()
+        assert main(argv) == 0
+        digests.append(sha256(report))
+    assert hashlib.sha256("".join(digests).encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_simulate_loiter_matches_benchmark_log(workloads, tmp_path, seed):
+    cli, bench = tmp_path / "cli.csv", tmp_path / "bench.csv"
+    assert main(["simulate", "--scenario", "loiter", "--seed", str(seed),
+                 "--out", str(cli)]) == 0
+    workloads.write_survey_log(workloads.WORKLOADS["loiter"], seed, str(bench))
+    assert cli.read_bytes() == bench.read_bytes()

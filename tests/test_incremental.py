@@ -5,9 +5,9 @@ Lloyd skips the distance rows its bounds rule out and takes centres from
 bincount sums, and reference selection takes each cluster's first strongest
 member in row order; all must give exactly the bits of the full computation.
 The oracles below are the full-computation implementations they replaced.
-k-means++ seeding and Lloyd have a dense path for windows of at most
-KMEANS_DENSE_MAX_N points, so their oracle tests run each case on both sides
-of that bound.
+k-means++ seeding has a dense path for windows of at most KMEANS_DENSE_MAX_N
+points, and Lloyd for those and for at most LLOYD_DENSE_MAX_K centres, so
+their oracle tests run each case on both paths.
 """
 
 import contextlib
@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from uavloc import cluster
 from uavloc.cluster import (CHORD2_MARGIN, KMEANS_MAX_ITER, KMEANS_TOL_M, ClusterSet,
-                            Observation, SurveyDiameter, _kmeans_pp_init, _lloyd, kmeans,
-                            select_reference_nodes)
+                            Observation, SurveyDiameter, _kmeans_pp_init, _lloyd, _sq_dist,
+                            kmeans, select_reference_nodes)
 from uavloc.geo import EARTH_RADIUS_M, GeoPoint, PlanarPoint
 from uavloc.pathloss import Calibration, rssi_to_distance
 
@@ -89,16 +89,17 @@ def assert_same_lloyd(got, want):
     assert [s.hex() for s in gs] == [s.hex() for s in ws]
 
 
-# KMEANS_DENSE_MAX_N values that put every window on the pruned path, then
-# every window on the dense path
+# dense-path bounds that put every window on the pruned path, then every
+# window on the dense path
 PATH_BOUNDS = (0, math.inf)
 
 
 @contextlib.contextmanager
 def kmeans_path(bound):
-    """Windows of at most `bound` points take the dense k-means path."""
+    """Windows of at most `bound` points or centres take the dense k-means path."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cluster, "KMEANS_DENSE_MAX_N", bound)
+        mp.setattr(cluster, "LLOYD_DENSE_MAX_K", bound)
         yield
 
 
@@ -176,8 +177,13 @@ def test_kmeans_pp_init_matches_row_sum_oracle(case):
     want = kmeans_pp_oracle(pts, k, np.random.default_rng(seed))
     for bound in PATH_BOUNDS:
         with kmeans_path(bound):
-            got = _kmeans_pp_init(pts, k, np.random.default_rng(seed))
+            got, rows = _kmeans_pp_init(pts, k, np.random.default_rng(seed))
         assert np.array_equal(bits(got), bits(want))
+        # the rows are Lloyd's first full rows for these centres
+        full = _sq_dist(got[:, :1], got[:, 1:], pts[:, 0], pts[:, 1])
+        assert np.array_equal(bits(rows), bits(full))
+        with kmeans_path(bound):
+            assert_same_lloyd(_lloyd(pts, got, rows), _lloyd(pts, got))
 
 
 def test_lloyd_reseeds_empty_cluster_like_the_loop():
@@ -222,7 +228,7 @@ def test_kmeans_pp_draw_matches_rng_choice(case):
     for bound in PATH_BOUNDS:
         got_rng = np.random.default_rng(seed)
         with kmeans_path(bound):
-            got = _kmeans_pp_init(pts, k, got_rng)
+            got, _ = _kmeans_pp_init(pts, k, got_rng)
         assert np.array_equal(bits(got), bits(want))
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 

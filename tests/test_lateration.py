@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from uavloc.cluster import ReferenceNode
 from uavloc.errors import DegenerateGeometryError, InsufficientReferencesError
@@ -162,3 +164,36 @@ def test_far_solution_is_degenerate_geometry():
         estimate_position(refs, ORIGIN)
     assert exc.value.condition == sol.condition
     assert "latitude" in str(exc.value)
+
+
+# Anchors and target lie in a box of half-width BOX_M, so every coordinate
+# is at most BOX_M and every range at most 2 sqrt(2) BOX_M. To first order in
+# eps = 2^-52, with kappa the condition number the solve reports:
+# - b_i = d_i^2 - x_i^2 - y_i^2 carries at most 6 eps (d_i^2 + x_i^2 + y_i^2)
+#   <= 60 eps BOX_M^2 of rounding (hypot, three squares, two subtractions).
+#   The ones column gives sigma_max >= sqrt(m), so A's pseudo-inverse maps
+#   it to at most 60 kappa eps BOX_M^2 in (s, x, y).
+# - The SVD solve is backward stable, within 30 m eps ||A|| for m <= 8 rows,
+#   which moves v = (s, x, y), |v| <= 3 BOX_M^2, by at most 720 kappa eps BOX_M^2.
+# So the planar error is under 1000 kappa eps BOX_M^2. A solve that does not
+# raise has kappa < 1 / SV_CUTOFF = 1e10, where kappa eps << 1 and the first
+# order holds. unproject and haversine add under 1e-8 m near ORIGIN.
+BOX_M = 1000.0
+box = st.one_of(st.floats(-BOX_M, BOX_M),
+                st.integers(-4, 4).map(lambda v: v * BOX_M / 4))  # collinear, repeated
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(box, box), min_size=3, max_size=8), st.tuples(box, box))
+@example([(0.0, 0.0), (500.0, 0.0), (1000.0, 0.0)], (200.0, 300.0))
+@example([(0.0, 0.0), (500.0, 0.0), (500.0, 0.0), (0.0, 0.0)], (200.0, 300.0))
+@example([(-1000.0, -1000.0), (1000.0, -1000.0), (0.0, 1000.0)], (1000.0, 1000.0))
+def test_exact_ranges_recover_target_or_raise(anchors, target):
+    assume(all(tuple(a) != tuple(target) for a in anchors))  # ranges must be positive
+    refs = refs_for_target(anchors, target)
+    try:
+        est, _, cond = estimate_position(refs, ORIGIN)
+    except DegenerateGeometryError:
+        return
+    err = haversine(est, unproject(ORIGIN, PlanarPoint(*map(float, target))))
+    assert err <= 1000.0 * cond * 2.0 ** -52 * BOX_M ** 2 + 1e-6

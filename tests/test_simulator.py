@@ -38,9 +38,8 @@ def test_loiter_geometry():
 def test_lawnmower_bounding_box():
     plan = lawnmower(width=1000.0, height=800.0, spacing=100.0)
     dur = plan.path_length() / plan.speed
-    pts = [project(CENTER, p) for _, p in generate_trajectory(plan, dur, 1.0)]
-    xs = [q.x for q in pts]
-    ys = [q.y for q in pts]
+    traj = generate_trajectory(plan, dur, 1.0)
+    xs, ys = project(CENTER, [p.lat for _, p in traj], [p.lon for _, p in traj])
     assert max(xs) - min(xs) == pytest.approx(1000.0, abs=1.0)
     assert max(ys) - min(ys) == pytest.approx(800.0, abs=1.0)
 
