@@ -193,13 +193,17 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator):
     index and the same generator state afterwards.
 
     A window of at most KMEANS_DENSE_MAX_N points takes each chosen centre's
-    row from one n x n matrix; (x_c - x)^2 has the bits of (x - x_c)^2.
+    row from one n x n matrix, and the rows returned are that matrix's chosen
+    rows; (x_c - x)^2 has the bits of (x - x_c)^2.
     """
     n = len(pts)
     x, y = _columns(pts)
     if n <= KMEANS_DENSE_MAX_N:
-        row = _sq_dist(x[:, None], y[:, None], x, y).__getitem__
+        m = _sq_dist(x[:, None], y[:, None], x, y)
+        row = m.__getitem__
     else:
+        m = None
+
         def row(c):
             return _sq_dist(x, y, *pts[c].tolist())
     chosen = [rng.integers(n)]
@@ -218,7 +222,7 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator):
         chosen.append(c)
         rows.append(row(c))
         np.minimum(d2, rows[-1], out=d2)
-    return pts[chosen], np.array(rows)
+    return pts[chosen], np.array(rows) if m is None else m[chosen]
 
 
 def _lloyd(pts: np.ndarray, centers: np.ndarray, rows: np.ndarray | None = None):
@@ -227,7 +231,11 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray, rows: np.ndarray | None = None)
     Each step labels every point against the current centres and stops once
     the last move was below KMEANS_TOL_M or KMEANS_MAX_ITER moves were made;
     otherwise it records the SSE and moves each centre to its members' mean.
-    So the labels returned are those of the centres returned. rows, if
+    So the labels returned are those of the centres returned. A step after
+    the first that changes no label, where the last move emptied no
+    cluster, stops once it has recorded its SSE: the next move would be zero
+    and the next step would label alike, so the result and sse_history are
+    those of running on, bit for bit. rows, if
     given, are the first step's full rows as `_kmeans_pp_init` returns them;
     they may be overwritten.
 
@@ -261,7 +269,10 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray, rows: np.ndarray | None = None)
         if dense:
             if step:
                 d2 = _sq_dist(cx[:, None], cy[:, None], x, y)
-            labels = d2.argmin(axis=0)
+            own = d2.argmin(axis=0)
+            # settled: no label moves, and the last update (its counts) emptied no cluster
+            settled = step and counts.all() and (own == labels).all()
+            labels = own
             nearest = d2.min(axis=0)
         else:
             if step:
@@ -272,8 +283,10 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray, rows: np.ndarray | None = None)
                 test += LLOYD_FLOOR_M
                 stale = np.flatnonzero(test >= lower)
                 d2 = _sq_dist(cx[:, None], cy[:, None], x[stale], y[stale])
+            settled = step and counts.all()  # only stale points can change label
             if len(stale):
                 own = d2.argmin(axis=0)
+                settled = settled and (own == labels[stale]).all()
                 cols = np.arange(len(stale))
                 labels[stale] = own
                 nearest[stale] = d2[own, cols]
@@ -282,6 +295,10 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray, rows: np.ndarray | None = None)
         if shift < KMEANS_TOL_M or step == KMEANS_MAX_ITER:
             break
         sse_history.append(float(nearest.sum()))
+        if settled:
+            # A fixed point: the centres are these very labels' means, so the
+            # next update gives them again bit for bit, and its step these labels.
+            break
         # bincount sums members in index order, as a per-cluster mean does
         counts = np.bincount(labels, minlength=k)
         sum_x = np.bincount(labels, weights=x, minlength=k)

@@ -5,12 +5,23 @@ The projection is a local equirectangular plane about a survey origin,
 accurate to well under 0.1% inside the survey areas this pipeline targets.
 It takes latitude and longitude columns in degrees and returns x and y
 columns, so a batch of samples is projected in one call.
+
+`haversine` and `unproject` also have column forms, `haversine_columns` and
+`unproject_columns`, that give every row the bits of the scalar call. The
+formula of each has one owner that serves both. Each row's sin, cos, asin
+and square goes through libm, as the scalar form does: numpy's own SIMD
+kernels (np.arcsin, np.log10, and x * x for x ** 2, which Python takes from
+libm's pow) round some rows differently. Only + - * /, sqrt, min and the
+degree/radian products run in numpy; v * _DEG and v * _RAD are the very
+products math.degrees and math.radians compute.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -19,6 +30,26 @@ EARTH_RADIUS_M = 6_371_000.0
 # project() refuses points beyond this range; the small-area linearization
 # breaks down long before the numbers do.
 MAX_PROJECTION_RANGE_M = 100_000.0
+
+_DEG = 180.0 / math.pi  # v * _DEG is math.degrees(v)
+_RAD = math.pi / 180.0  # v * _RAD is math.radians(v)
+_EARTH_DIAMETER_M = 2.0 * EARTH_RADIUS_M
+
+
+def libm(f, v, *args):
+    """f(row, *args) for each row of the float column v, as a float column.
+
+    f is a libm function from math, or pow for a square, so each row gets
+    the bits of the scalar call (see the module docstring).
+    """
+    return np.fromiter(map(f, v.tolist(), *map(repeat, args)), float, len(v))
+
+
+# The haversine formula's row operations on columns; its scalar form takes
+# math's own as defaults.
+_COLUMN_OPS = dict(sin=partial(libm, math.sin), cos=partial(libm, math.cos),
+                   asin=partial(libm, math.asin), pow=partial(libm, pow),
+                   sqrt=np.sqrt, min=np.minimum)
 
 
 @dataclass(frozen=True)
@@ -51,13 +82,25 @@ class PlanarPoint:
 
 def haversine(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points in meters."""
-    lat1 = math.radians(a.lat)
-    lat2 = math.radians(b.lat)
-    dlat = math.radians(b.lat - a.lat)
-    dlon = math.radians(b.lon - a.lon)
-    h = (math.sin(dlat / 2.0) ** 2
-         + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2)
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+    return _haversine(a.lat, a.lon, b)
+
+
+def haversine_columns(lat, lon, b: GeoPoint):
+    """haversine(GeoPoint(lat[i], lon[i]), b) for every row of the degree
+    columns lat and lon, bit for bit."""
+    return _haversine(lat, lon, b, **_COLUMN_OPS)
+
+
+def _haversine(lat, lon, b: GeoPoint, sin=math.sin, cos=math.cos, asin=math.asin, pow=pow,
+               sqrt=math.sqrt, min=min):
+    """The haversine formula from (lat, lon) to b. The row operations are
+    arguments, so that columns can pass theirs; as defaults they are also
+    the scalar form's fastest lookups."""
+    dlat = (b.lat - lat) * _RAD
+    dlon = (b.lon - lon) * _RAD
+    h = (pow(sin(dlat / 2.0), 2)
+         + cos(lat * _RAD) * math.cos(b.lat * _RAD) * pow(sin(dlon / 2.0), 2))
+    return _EARTH_DIAMETER_M * asin(min(1.0, sqrt(h)))
 
 
 def project(origin: GeoPoint, lat, lon):
@@ -91,6 +134,10 @@ def project(origin: GeoPoint, lat, lon):
 
 def unproject(origin: GeoPoint, q: PlanarPoint) -> GeoPoint:
     """Exact inverse of project() for the same origin."""
-    lat = origin.lat + math.degrees(q.y / EARTH_RADIUS_M)
-    lon = origin.lon + math.degrees(q.x / (EARTH_RADIUS_M * math.cos(math.radians(origin.lat))))
-    return GeoPoint(lat, lon)
+    return GeoPoint(*unproject_columns(origin, q.x, q.y))
+
+
+def unproject_columns(origin: GeoPoint, x, y):
+    """(lat, lon) in degrees of planar x and y, floats or columns alike."""
+    return (origin.lat + y / EARTH_RADIUS_M * _DEG,
+            origin.lon + x / (EARTH_RADIUS_M * math.cos(origin.lat * _RAD)) * _DEG)

@@ -47,8 +47,12 @@ class RunReport:
     baseline: dict | None = None
 
 
+_NUM = "%.9g"  # every number written: up to 9 significant digits
+_ROW = ",".join([_NUM] * 4)  # one data row, in CSV_HEADER's columns
+
+
 def _fmt(v: float) -> str:
-    return format(float(v), ".9g")
+    return _NUM % v
 
 
 def _write_text(path: str, text: str) -> None:
@@ -84,7 +88,7 @@ def write_log(log: ObservationLog, path: str) -> None:
         lines.append(f"# {key} {value}")
     lines.append(CSV_HEADER)
     for o in log.rows:
-        lines.append(f"{_fmt(o.t)},{_fmt(o.pos.lat)},{_fmt(o.pos.lon)},{_fmt(o.rssi)}")
+        lines.append(_ROW % (o.t, o.pos.lat, o.pos.lon, o.rssi))
     _write_text(path, "\n".join(lines) + "\n")
 
 

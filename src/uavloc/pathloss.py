@@ -3,16 +3,22 @@
 The forward model is free-space Friis (in decibel form) plus optional
 log-normal shadowing; the inverse is the log-distance path-loss model
 solved for distance with the noise term taken as zero.
+
+The forward model takes a distance or a column of distances; each row of a
+column gets the bits of the scalar call. Its log10 goes through libm row by
+row, because numpy's SIMD np.log10 rounds some rows differently (see `geo`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DegenerateFitError
+from .geo import libm
 
 
 @dataclass(frozen=True)
@@ -58,11 +64,17 @@ class TxParams:
                 raise ValueError("non-finite link parameter")
 
 
-def friis_rssi(tx: TxParams, d: float) -> float:
-    """Free-space received power in dBm at distance d meters."""
-    if not d > 0:
-        raise ValueError(f"distance must be positive, got {d}")
-    return tx.pt_dbm + tx.gt_db + tx.gr_db + 20.0 * math.log10(tx.wavelength_m / (4.0 * math.pi * d))
+def friis_rssi(tx: TxParams, d):
+    """Free-space received power in dBm at distance d meters.
+
+    d is a float or a column; a column raises on its first distance that is
+    not positive.
+    """
+    flat = np.ravel(d)
+    if not (flat > 0).all():
+        raise ValueError(f"distance must be positive, got {flat[np.argmin(flat > 0)]}")
+    log10 = partial(libm, math.log10) if np.ndim(d) else math.log10
+    return tx.pt_dbm + tx.gt_db + tx.gr_db + 20.0 * log10(tx.wavelength_m / (4.0 * math.pi * d))
 
 
 def rssi_to_distance(pr_dbm: float, cal: Calibration) -> float:
@@ -73,15 +85,18 @@ def rssi_to_distance(pr_dbm: float, cal: Calibration) -> float:
     return cal.d0 * 10.0 ** ((-pr_dbm + cal.p0_dbm) / (10.0 * cal.n))
 
 
-def sample_shadowed_rssi(tx: TxParams, d: float, sigma_db: float,
-                         rng: np.random.Generator) -> float:
-    """Draw one shadowed RSSI sample: friis_rssi plus N(0, sigma_db^2)."""
+def sample_shadowed_rssi(tx: TxParams, d, sigma_db: float, rng: np.random.Generator):
+    """Draw shadowed RSSI: friis_rssi plus N(0, sigma_db^2) per distance.
+
+    For a column of n distances the n normals come from one rng.normal call,
+    which gives the values, in order, of n scalar calls.
+    """
     if not sigma_db >= 0:
         raise ValueError(f"sigma must be >= 0, got {sigma_db}")
     base = friis_rssi(tx, d)
     if sigma_db == 0.0:
         return base
-    return base + rng.normal(0.0, sigma_db)
+    return base + rng.normal(0.0, sigma_db, size=np.shape(base) or None)
 
 
 def calibration_from_tx(tx: TxParams, d0: float, sigma_db: float = 0.0) -> Calibration:

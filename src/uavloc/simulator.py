@@ -4,6 +4,15 @@ Trajectories are waypoint-following at constant speed (no aerodynamics);
 RSSI samples come from the free-space model plus log-normal shadowing, one
 every SAMPLE_PERIOD_S seconds (1 Hz). Also hosts the plain-SVD baseline and
 the cluster granularity sweep used for evaluation.
+
+A survey is computed as columns (time, position, distance to the target,
+RSSI), one call per stage over all samples, and its `Observation` rows are
+built once, at the end. Every row gets the bits a per-sample loop of the
+scalar `unproject`, `haversine` and `sample_shadowed_rssi` gives: the
+transcendental row operations (sin, cos, asin, log10 and squares) go
+through libm row by row, because numpy's SIMD kernels round some rows
+differently (see `geo`). Anything added to the simulated measurements acts
+on these columns before the rows are built, under the same rule.
 """
 
 from __future__ import annotations
@@ -19,7 +28,8 @@ import numpy as np
 from .cluster import Observation, ReferenceNode
 from .errors import NoEstimateError
 from .estimator import Estimator, EstimatorConfig
-from .geo import GeoPoint, PlanarPoint, haversine, project, unproject
+from .geo import (GeoPoint, PlanarPoint, haversine, haversine_columns, libm, project,
+                  unproject, unproject_columns)
 from .lateration import estimate_position
 from .pathloss import Calibration, TxParams, rssi_to_distance, sample_shadowed_rssi
 
@@ -72,25 +82,25 @@ class FlightPlan:
         gap = abs(ys[1] - ys[0])
         return ys, gap, len(ys) * self.width + (len(ys) - 1) * gap
 
-    def position_at(self, s: float) -> PlanarPoint:
-        """Planar position after arc length s meters along the path."""
+    def position_at(self, s):
+        """Planar (x, y) columns at the arc lengths s (a column, meters) along the path."""
         if self.kind == "loiter":
             phi = s / self.radius
-            return PlanarPoint(self.radius * math.cos(phi), self.radius * math.sin(phi))
+            return self.radius * libm(math.cos, phi), self.radius * libm(math.sin, phi)
         lanes, gap, length = self._lanes
         leg = self.width + gap  # one lane plus the transition to the next
-        s = min(s, length)
-        i = min(int(s // leg), len(lanes) - 1)
-        r = s - i * leg
-        y = lanes[i]
-        x0, x1 = (-self.width / 2.0, self.width / 2.0) if i % 2 == 0 else (self.width / 2.0, -self.width / 2.0)
-        if r <= self.width:
-            x = x0 + (x1 - x0) * (r / self.width)
-            return PlanarPoint(x, y)
+        s = np.minimum(s, length)
+        lane = np.minimum(s // leg, len(lanes) - 1).astype(np.intp)
+        r = s - lane * leg
+        x1 = np.where(lane % 2 == 0, self.width / 2.0, -self.width / 2.0)  # the lane's far end
+        x0 = -x1
+        y = lanes[lane]
+        on_lane = r <= self.width
+        x = np.where(on_lane, x0 + (x1 - x0) * (r / self.width), x1)
         # climbing to the next lane at the lane's far end
         frac = (r - self.width) / gap if gap > 0 else 1.0
-        y_next = lanes[min(i + 1, len(lanes) - 1)]
-        return PlanarPoint(x1, y + (y_next - y) * min(1.0, frac))
+        y_next = lanes[np.minimum(lane + 1, len(lanes) - 1)]
+        return x, np.where(on_lane, y, y + (y_next - y) * np.minimum(1.0, frac))
 
 
 @dataclass(frozen=True)
@@ -103,15 +113,11 @@ class SimScenario:
 
 
 def generate_trajectory(plan: FlightPlan, duration: float, dt: float):
-    """Sampled (t, GeoPoint) waypoints at constant speed along the plan."""
+    """(t, lat, lon) columns of waypoints sampled every dt seconds at constant speed."""
     if not duration > 0 or not dt > 0:
         raise ValueError("duration and dt must be positive")
-    n = max(1, int(math.floor(duration / dt)))
-    out = []
-    for k in range(n):
-        t = k * dt
-        out.append((t, unproject(plan.center, plan.position_at(plan.speed * t))))
-    return out
+    t = np.arange(max(1, int(math.floor(duration / dt)))) * dt
+    return (t, *unproject_columns(plan.center, *plan.position_at(plan.speed * t)))
 
 
 def simulate_observations(sc: SimScenario, duration: float):
@@ -120,19 +126,15 @@ def simulate_observations(sc: SimScenario, duration: float):
     Samples coincident with the target (distance 0) are skipped with a
     warning, since the free-space model is singular there.
     """
-    rng = np.random.default_rng(sc.seed)
-    obs = []
-    skipped = 0
-    for t, pos in generate_trajectory(sc.plan, duration, SAMPLE_PERIOD_S):
-        d = haversine(pos, sc.target)
-        if d == 0.0:
-            skipped += 1
-            continue
-        obs.append(Observation(t=t, pos=pos,
-                               rssi=sample_shadowed_rssi(sc.tx, d, sc.sigma_db, rng)))
-    if skipped:
-        log.warning("skipped %d samples coincident with the target", skipped)
-    return obs
+    t, lat, lon = generate_trajectory(sc.plan, duration, SAMPLE_PERIOD_S)
+    d = haversine_columns(lat, lon, sc.target)
+    keep = d != 0.0
+    if not keep.all():
+        log.warning("skipped %d samples coincident with the target", len(d) - keep.sum())
+        t, lat, lon, d = t[keep], lat[keep], lon[keep], d[keep]
+    rssi = sample_shadowed_rssi(sc.tx, d, sc.sigma_db, np.random.default_rng(sc.seed))
+    return [Observation(ti, GeoPoint(la, lo), r)
+            for ti, la, lo, r in zip(t.tolist(), lat.tolist(), lon.tolist(), rssi.tolist())]
 
 
 def evaluate(estimate: GeoPoint, truth: GeoPoint) -> float:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavloc.geo import (EARTH_RADIUS_M, MAX_PROJECTION_RANGE_M, GeoPoint, PlanarPoint,
-                        haversine, project, unproject)
+                        haversine, haversine_columns, project, unproject, unproject_columns)
 
 
 def test_geopoint_bounds():
@@ -126,6 +126,45 @@ def test_batch_project_equals_scalar_formula_bitwise(lat0, lon0, rows):
         assert (x[i].hex(), y[i].hex()) == (want[0].hex(), want[1].hex())
         one = project(o, la, lo)
         assert (float(one[0]).hex(), float(one[1]).hex()) == (want[0].hex(), want[1].hex())
+
+
+def haversine_oracle(a, b):
+    """The one-pair haversine formula, in math's scalar operations."""
+    lat1 = math.radians(a.lat)
+    lat2 = math.radians(b.lat)
+    dlat = math.radians(b.lat - a.lat)
+    dlon = math.radians(b.lon - a.lon)
+    h = (math.sin(dlat / 2.0) ** 2
+         + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2)
+    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+
+
+def unproject_oracle(o, x, y):
+    """The one-point inverse projection, in math's scalar operations."""
+    return (o.lat + math.degrees(y / EARTH_RADIUS_M),
+            o.lon + math.degrees(x / (EARTH_RADIUS_M * math.cos(math.radians(o.lat)))))
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 30.0])
+def test_column_forms_equal_scalar_formulas_bitwise(scale):
+    # 10 000 rows per scale: numpy's SIMD arcsin, or x * x for a square,
+    # gives some of them other bits than libm does
+    rng = np.random.default_rng(17)
+    b = GeoPoint(40.81, 29.36)
+    lat = np.clip(b.lat + rng.uniform(-scale, scale, 10_000), -90.0, 90.0)
+    lon = np.clip(b.lon + rng.uniform(-scale, scale, 10_000), -180.0, 180.0)
+    want = [haversine_oracle(GeoPoint(la, lo), b).hex()
+            for la, lo in zip(lat.tolist(), lon.tolist())]
+    assert [v.hex() for v in haversine_columns(lat, lon, b).tolist()] == want
+    assert [haversine(GeoPoint(la, lo), b).hex()
+            for la, lo in zip(lat.tolist(), lon.tolist())] == want
+    x, y = rng.uniform(-1e5, 1e5, (2, 1000)) * scale / 30.0
+    got = unproject_columns(b, x, y)
+    for i, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):
+        want = tuple(v.hex() for v in unproject_oracle(b, xi, yi))
+        assert (got[0][i].hex(), got[1][i].hex()) == want
+        p = unproject(b, PlanarPoint(xi, yi))
+        assert (p.lat.hex(), p.lon.hex()) == want
 
 
 def test_projection_guard_names_first_far_row():

@@ -5,12 +5,14 @@ the estimator carried its kept samples, projections and survey diameter
 across batches; a change that moves any reported bit must say so and
 re-record them.
 
-AGGREGATES pins every report of three benchmark seed sets: the sha256 of the
-reports' sha256 hex digests, concatenated in seed order. Each report is
-`uavloc estimate --truth <log target> <workload flags>` on the log the
-benchmark writes for that seed (`perfbench/workloads.py`). The loiter set
-clusters windows of more than 64 points into k = 3, so it covers Lloyd's
-dense path above the window bound.
+AGGREGATES pins every log and every report of three benchmark seed sets:
+the sha256 of the logs' sha256 hex digests, concatenated in seed order, and
+the same of the reports'. Each log is the one the benchmark writes for that
+seed (`perfbench/workloads.py`), and each report is `uavloc estimate --truth
+<log target> <workload flags>` on it. The log digests were recorded with the
+per-sample simulator loop, before the simulator computed surveys as columns.
+The loiter set clusters windows of more than 64 points into k = 3, so it
+covers Lloyd's dense path above the window bound.
 """
 
 import hashlib
@@ -28,11 +30,14 @@ GOLDEN = {
     "default": ([], "205072e4ab01a1d6f5add0d61727f0e3d5833cf50c1057c94b4ca2d8efa2718a"),
 }
 
-# workload -> (log seeds 0 .. n-1, aggregate digest)
+# workload -> (log seeds 0 .. n-1, log aggregate digest, report aggregate digest)
 AGGREGATES = {
-    "gtu-accept": (20, "15e8b84e9720fc33fb43ecff6d64e9ba0e96c5de8448a016761418f5207902da"),
-    "loiter": (20, "0f8a74ee873a60245e289c2649f3ab54d69fd55dfe0c155a9f1b4691bd4b2fd4"),
-    "gtu-default": (3, "e3675d3f9630966dbee5eda02521faf7592e4f4be0e52b688048229aaa00a7dd"),
+    "gtu-accept": (20, "b054ad8222c2d5fa91bfdc816e6bd1ad4069928887d77250958e655428797c10",
+                   "15e8b84e9720fc33fb43ecff6d64e9ba0e96c5de8448a016761418f5207902da"),
+    "loiter": (20, "70c7c0ff8a32d59271cf553080cd7ccb13697586393687f67e625b666ace6827",
+               "0f8a74ee873a60245e289c2649f3ab54d69fd55dfe0c155a9f1b4691bd4b2fd4"),
+    "gtu-default": (3, "fa07be92551f33c7ca7d19ec3e61da3ada61a873cd28c6f0bc00af4a2ea0b0a4",
+                    "e3675d3f9630966dbee5eda02521faf7592e4f4be0e52b688048229aaa00a7dd"),
 }
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -73,16 +78,18 @@ def test_estimate_report_byte_identical(gtu_sim_log, tmp_path, flags):
 @pytest.mark.parametrize("name", sorted(AGGREGATES))
 def test_workload_reports_byte_identical(workloads, tmp_path, name):
     wl = workloads.WORKLOADS[name]
-    logs, want = AGGREGATES[name]
-    digests = []
+    logs, want_logs, want_reports = AGGREGATES[name]
+    log_digests, report_digests = [], []
     for seed in range(logs):
         log, report = str(tmp_path / f"{seed}.csv"), str(tmp_path / f"{seed}.json")
         workloads.write_survey_log(wl, seed, log)
+        log_digests.append(sha256(log))
         argv = ["estimate", "--obs", log, "--out", report,
                 "--truth", parse_log(log).meta["target"]] + wl.cli_flags()
         assert main(argv) == 0
-        digests.append(sha256(report))
-    assert hashlib.sha256("".join(digests).encode()).hexdigest() == want
+        report_digests.append(sha256(report))
+    assert hashlib.sha256("".join(log_digests).encode()).hexdigest() == want_logs
+    assert hashlib.sha256("".join(report_digests).encode()).hexdigest() == want_reports
 
 
 @pytest.mark.parametrize("seed", [0, 1])

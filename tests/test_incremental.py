@@ -1,9 +1,10 @@
 """Bit-exact properties of the incremental, pruned estimator core.
 
 The survey diameter is folded in batch by batch and pruned by chord length,
-Lloyd skips the distance rows its bounds rule out and takes centres from
-bincount sums, and reference selection takes each cluster's first strongest
-member in row order; all must give exactly the bits of the full computation.
+Lloyd skips the distance rows its bounds rule out, takes centres from
+bincount sums and stops at a fixed point, and reference selection takes each
+cluster's first strongest member in row order; all must give exactly the
+bits of the full computation.
 The oracles below are the full-computation implementations they replaced.
 k-means++ seeding has a dense path for windows of at most KMEANS_DENSE_MAX_N
 points, and Lloyd for those and for at most LLOYD_DENSE_MAX_K centres, so
@@ -195,6 +196,19 @@ def test_lloyd_reseeds_empty_cluster_like_the_loop():
         assert_same_lloyd(got, lloyd_oracle(pts, centers.copy()))
         # both far centres start empty and are reseeded at the farthest point
         assert (got[0] == [10.0, 10.0]).all(axis=1).any()
+
+
+@pytest.mark.parametrize("bound", PATH_BOUNDS)
+def test_lloyd_runs_on_past_unchanged_labels_after_a_reseed(bound):
+    # Lloyd may stop early on a step that changes no label only when the last
+    # update reseeded no cluster: a reseeded centre is not its members' mean.
+    # Here every update reseeds an empty third cluster and no step after the
+    # second changes a label, so the loop runs on until that centre settles.
+    pts = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    centers = np.zeros((3, 2))
+    with kmeans_path(bound):
+        got = _lloyd(pts, centers.copy())
+    assert_same_lloyd(got, lloyd_oracle(pts, centers.copy()))
 
 
 grid = st.integers(-6, 6).map(float)

@@ -81,6 +81,28 @@ def test_shadowing_sample_mean():
     assert mean_err < 3.0 * sigma / math.sqrt(10_000)
 
 
+def test_column_forms_equal_scalar_calls_bitwise():
+    # numpy's SIMD log10 gives some of these rows other bits than libm does
+    d = np.random.default_rng(8).uniform(1e-3, 5e4, 20_000)
+    want = [friis_rssi(TX_435, v).hex() for v in d.tolist()]
+    assert [v.hex() for v in friis_rssi(TX_435, d).tolist()] == want
+    for sigma in (0.0, 3.0):
+        rng = np.random.default_rng(9)
+        want = [sample_shadowed_rssi(TX_435, v, sigma, rng).hex() for v in d.tolist()]
+        rng = np.random.default_rng(9)
+        got = sample_shadowed_rssi(TX_435, d, sigma, rng)
+        assert [v.hex() for v in got.tolist()] == want
+
+
+@pytest.mark.parametrize("bad", [0.0, -5.0, math.nan])
+def test_friis_column_rejects_first_nonpositive_distance(bad):
+    d = np.array([10.0, 20.0, bad, -1.0, 0.0])
+    with pytest.raises(ValueError, match=f"distance must be positive, got {bad}$"):
+        friis_rssi(TX_435, d)
+    with pytest.raises(ValueError, match=f"got {bad}$"):
+        sample_shadowed_rssi(TX_435, d, 3.0, np.random.default_rng(0))
+
+
 def test_fit_exponent_noiseless():
     truth = Calibration(d0=100.0, p0_dbm=-40.0, n=2.7)
     ds = np.logspace(1, 3, 40)

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from uavloc.cluster import Observation
 from uavloc.errors import NoEstimateError
 from uavloc.estimator import Estimator, EstimatorConfig
-from uavloc.geo import GeoPoint, haversine, project
-from uavloc.pathloss import calibration_from_tx, friis_rssi
-from uavloc.simulator import (SPEED_OF_LIGHT, FlightPlan, SimScenario, TxParams,
-                              evaluate, generate_trajectory, gtu_sim_scenario,
+from uavloc.geo import GeoPoint, PlanarPoint, haversine, project, unproject
+from uavloc.pathloss import calibration_from_tx, friis_rssi, sample_shadowed_rssi
+from uavloc.simulator import (SAMPLE_PERIOD_S, SPEED_OF_LIGHT, FlightPlan, SimScenario,
+                              TxParams, evaluate, generate_trajectory, gtu_sim_scenario,
                               run_baseline_svd, simulate_observations, sweep_ma,
                               sweep_ma_log)
 
@@ -27,10 +30,11 @@ def lawnmower(width=1000.0, height=800.0, spacing=100.0, speed=20.0):
 
 def test_loiter_geometry():
     plan = loiter(radius=300.0, speed=20.0)
-    traj = generate_trajectory(plan, 90.0, 1.0)
-    for _, p in traj:
+    _, lat, lon = generate_trajectory(plan, 90.0, 1.0)
+    traj = [GeoPoint(a, b) for a, b in zip(lat.tolist(), lon.tolist())]
+    for p in traj:
         assert haversine(CENTER, p) == pytest.approx(300.0, abs=0.1)
-    steps = [haversine(a[1], b[1]) for a, b in zip(traj, traj[1:])]
+    steps = [haversine(a, b) for a, b in zip(traj, traj[1:])]
     for s in steps:
         assert s == pytest.approx(20.0, rel=0.01)
 
@@ -38,16 +42,16 @@ def test_loiter_geometry():
 def test_lawnmower_bounding_box():
     plan = lawnmower(width=1000.0, height=800.0, spacing=100.0)
     dur = plan.path_length() / plan.speed
-    traj = generate_trajectory(plan, dur, 1.0)
-    xs, ys = project(CENTER, [p.lat for _, p in traj], [p.lon for _, p in traj])
+    _, lat, lon = generate_trajectory(plan, dur, 1.0)
+    xs, ys = project(CENTER, lat, lon)
     assert max(xs) - min(xs) == pytest.approx(1000.0, abs=1.0)
     assert max(ys) - min(ys) == pytest.approx(800.0, abs=1.0)
 
 
 def test_short_duration_single_point():
-    traj = generate_trajectory(loiter(), 0.5, 1.0)
-    assert len(traj) == 1
-    assert traj[0][0] == 0.0
+    t, lat, lon = generate_trajectory(loiter(), 0.5, 1.0)
+    assert len(t) == len(lat) == len(lon) == 1
+    assert t[0] == 0.0
 
 
 def test_trajectory_rejects_bad_args():
@@ -85,10 +89,101 @@ def test_observations_deterministic():
 
 def test_target_on_trajectory_skipped():
     plan = loiter()
-    first_pos = generate_trajectory(plan, 10.0, 1.0)[0][1]
+    _, lat, lon = generate_trajectory(plan, 10.0, 1.0)
+    first_pos = GeoPoint(float(lat[0]), float(lon[0]))
     sc = SimScenario(plan=plan, target=first_pos, tx=TX, sigma_db=0.0, seed=0)
     obs = simulate_observations(sc, 10.0)
     assert len(obs) == 9  # the coincident sample is dropped
+
+
+def position_at_oracle(plan, s):
+    """Planar position after arc length s: the per-sample path the simulator
+    replaced with columns."""
+    if plan.kind == "loiter":
+        phi = s / plan.radius
+        return PlanarPoint(plan.radius * math.cos(phi), plan.radius * math.sin(phi))
+    lanes, gap, length = plan._lanes
+    leg = plan.width + gap
+    s = min(s, length)
+    i = min(int(s // leg), len(lanes) - 1)
+    r = s - i * leg
+    y = lanes[i]
+    x0, x1 = (-plan.width / 2.0, plan.width / 2.0) if i % 2 == 0 else (plan.width / 2.0, -plan.width / 2.0)
+    if r <= plan.width:
+        return PlanarPoint(x0 + (x1 - x0) * (r / plan.width), y)
+    frac = (r - plan.width) / gap if gap > 0 else 1.0
+    y_next = lanes[min(i + 1, len(lanes) - 1)]
+    return PlanarPoint(x1, y + (y_next - y) * min(1.0, frac))
+
+
+def simulate_oracle(sc, duration):
+    """The per-sample loop: scalar position, unproject, haversine and one
+    shadowing draw per sample that does not coincide with the target."""
+    rng = np.random.default_rng(sc.seed)
+    obs = []
+    for k in range(max(1, int(math.floor(duration / SAMPLE_PERIOD_S)))):
+        t = k * SAMPLE_PERIOD_S
+        pos = unproject(sc.plan.center, position_at_oracle(sc.plan, sc.plan.speed * t))
+        d = haversine(pos, sc.target)
+        if d == 0.0:
+            continue
+        obs.append(Observation(t=t, pos=pos, rssi=sample_shadowed_rssi(sc.tx, d, sc.sigma_db, rng)))
+    return obs
+
+
+def hex_rows(obs):
+    return [tuple(float.hex(v) for v in (o.t, o.pos.lat, o.pos.lon, o.rssi)) for o in obs]
+
+
+@st.composite
+def scenarios(draw):
+    """A lawnmower or loiter plan about a random centre, a duration from
+    0.5 s to 1.5x the path's flight time (the lawnmower holds its last
+    point past the end), sigma 0 or 3, and a target off the path or on one
+    of its samples."""
+    center = GeoPoint(draw(st.floats(-60.0, 60.0)), draw(st.floats(-179.0, 179.0)))
+    speed = draw(st.floats(2.0, 60.0))
+    if draw(st.booleans()):
+        plan = FlightPlan(kind="loiter", center=center, speed=speed,
+                          radius=draw(st.floats(20.0, 2000.0)))
+    else:
+        height = draw(st.floats(20.0, 2000.0))
+        plan = FlightPlan(kind="lawnmower", center=center, speed=speed,
+                          width=draw(st.floats(20.0, 2000.0)), height=height,
+                          spacing=draw(st.floats(height / 12.0, height)))
+    flight_s = plan.path_length() / plan.speed
+    duration = max(0.5, draw(st.floats(0.0, 1.5)) * min(flight_s, 3000.0))
+    n = max(1, int(math.floor(duration / SAMPLE_PERIOD_S)))
+    on_path = draw(st.integers(0, n - 1)) if draw(st.booleans()) else None
+    if on_path is None:
+        target = unproject(center, PlanarPoint(draw(st.floats(-3000.0, 3000.0)),
+                                               draw(st.floats(-3000.0, 3000.0))))
+    else:
+        target = unproject(center, position_at_oracle(plan, plan.speed * on_path * SAMPLE_PERIOD_S))
+    sc = SimScenario(plan=plan, target=target, tx=TX, sigma_db=draw(st.sampled_from([0.0, 3.0])),
+                     seed=draw(st.integers(0, 2**32 - 1)))
+    return sc, duration, on_path is not None
+
+
+# A loiter whose row 185 distance differs when squares are taken as x * x
+# rather than through libm's pow; random scenarios hit such a row rarely.
+SQUARE_SENSITIVE = SimScenario(
+    plan=FlightPlan(kind="loiter", center=GeoPoint(-40.44095661847026, -129.94867409975154),
+                    speed=14.568364840350606, radius=1126.6352890570113),
+    target=GeoPoint(-40.444663756886825, -129.9360878533061), tx=TX, sigma_db=3.0, seed=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenarios())
+@example((gtu_sim_scenario(seed=5), 2464.0 * 1.5, False))
+@example((SQUARE_SENSITIVE, 271.4531906457933, False))
+def test_simulate_observations_matches_per_sample_loop(case):
+    sc, duration, target_on_path = case
+    got = simulate_observations(sc, duration)
+    want = simulate_oracle(sc, duration)
+    assert hex_rows(got) == hex_rows(want)
+    if target_on_path:
+        assert len(got) < max(1, int(math.floor(duration / SAMPLE_PERIOD_S)))
 
 
 def test_evaluate():
