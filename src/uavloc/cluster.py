@@ -181,11 +181,8 @@ def _sq_dist(ax, ay, bx, by):
     return dx * dx + dy * dy
 
 
-def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator):
+def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: D^2-weighted sampling of initial centers.
-
-    Returns (centers, rows): rows[j] holds every point's squared distance to
-    centers[j], the (k, n) full rows of Lloyd's first step, bit for bit.
 
     Each weighted draw is rng.choice(n, p=d2 / d2.sum()) written out without
     re-validating p: the same CDF (add.accumulate is the sequential sum cumsum
@@ -193,22 +190,17 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator):
     index and the same generator state afterwards.
 
     A window of at most KMEANS_DENSE_MAX_N points takes each chosen centre's
-    row from one n x n matrix, and the rows returned are that matrix's chosen
-    rows; (x_c - x)^2 has the bits of (x - x_c)^2.
+    row from one n x n matrix; (x_c - x)^2 has the bits of (x - x_c)^2.
     """
     n = len(pts)
     x, y = _columns(pts)
     if n <= KMEANS_DENSE_MAX_N:
-        m = _sq_dist(x[:, None], y[:, None], x, y)
-        row = m.__getitem__
+        row = _sq_dist(x[:, None], y[:, None], x, y).__getitem__
     else:
-        m = None
-
         def row(c):
             return _sq_dist(x, y, *pts[c].tolist())
     chosen = [rng.integers(n)]
-    rows = [row(chosen[0])]
-    d2 = rows[0].copy()  # np.minimum writes into d2 below
+    d2 = row(chosen[0]).copy()  # np.minimum writes into d2 below
     cdf = np.empty(n)
     for _ in range(1, k):
         total = d2.sum()
@@ -220,24 +212,17 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator):
             cdf /= cdf[-1]
             c = cdf.searchsorted(rng.random(), side="right")
         chosen.append(c)
-        rows.append(row(c))
-        np.minimum(d2, rows[-1], out=d2)
-    return pts[chosen], np.array(rows) if m is None else m[chosen]
+        np.minimum(d2, row(c), out=d2)
+    return pts[chosen]
 
 
-def _lloyd(pts: np.ndarray, centers: np.ndarray, rows: np.ndarray | None = None):
+def _lloyd(pts: np.ndarray, centers: np.ndarray):
     """Lloyd iterations; returns (centers, labels, sse_history).
 
     Each step labels every point against the current centres and stops once
     the last move was below KMEANS_TOL_M or KMEANS_MAX_ITER moves were made;
     otherwise it records the SSE and moves each centre to its members' mean.
-    So the labels returned are those of the centres returned. A step after
-    the first that changes no label, where the last move emptied no
-    cluster, stops once it has recorded its SSE: the next move would be zero
-    and the next step would label alike, so the result and sse_history are
-    those of running on, bit for bit. rows, if
-    given, are the first step's full rows as `_kmeans_pp_init` returns them;
-    they may be overwritten.
+    So the labels returned are those of the centres returned.
 
     Each point carries its exact distance to its own centre and a lower bound
     on its distance to every other one, lowered each step by the last move's
@@ -248,27 +233,30 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray, rows: np.ndarray | None = None)
     SSE are those of the plain loop bit for bit (argmin's first-index rule).
     The full rows are laid out (k, m), centres down and points along the
     contiguous axis, so argmin and min reduce over the k rows; (c - p)^2 has
-    the bits of (p - c)^2. A window of at most KMEANS_DENSE_MAX_N points, or
-    with at most LLOYD_DENSE_MAX_K centres, skips the bounds: every point
-    gets a full row on every step.
+    the bits of (p - c)^2.
+
+    A window of at most KMEANS_DENSE_MAX_N points, or with at most
+    LLOYD_DENSE_MAX_K centres, skips the bounds: every point gets a full row
+    on every step. There a step after the first that changes no label, where
+    the last move emptied no cluster, stops once it has recorded its SSE: the
+    next move would be zero and the next step would label alike, so the
+    result and sse_history are those of running on, bit for bit.
     """
     k = len(centers)
     n = len(pts)
     x, y = _columns(pts)
     cx, cy = _columns(centers)
-    d2 = _sq_dist(cx[:, None], cy[:, None], x, y) if rows is None else rows  # step 0's rows
     dense = n <= KMEANS_DENSE_MAX_N or k <= LLOYD_DENSE_MAX_K
     labels = np.empty(n, dtype=np.intp)
     nearest = np.empty(n)
     lower = np.empty(n)
-    test = np.empty(n)  # pruning test, reused every step
     stale = np.arange(n)
+    settled = False
     sse_history = []
     shift = math.inf
     for step in range(KMEANS_MAX_ITER + 1):
         if dense:
-            if step:
-                d2 = _sq_dist(cx[:, None], cy[:, None], x, y)
+            d2 = _sq_dist(cx[:, None], cy[:, None], x, y)
             own = d2.argmin(axis=0)
             # settled: no label moves, and the last update (its counts) emptied no cluster
             settled = step and counts.all() and (own == labels).all()
@@ -278,20 +266,15 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray, rows: np.ndarray | None = None)
             if step:
                 lower -= shift * (1.0 + LLOYD_MARGIN)
                 nearest = _sq_dist(x, y, cx[labels], cy[labels])
-                np.sqrt(nearest, out=test)
-                test *= 1.0 + LLOYD_MARGIN
-                test += LLOYD_FLOOR_M
-                stale = np.flatnonzero(test >= lower)
-                d2 = _sq_dist(cx[:, None], cy[:, None], x[stale], y[stale])
-            settled = step and counts.all()  # only stale points can change label
-            if len(stale):
-                own = d2.argmin(axis=0)
-                settled = settled and (own == labels[stale]).all()
-                cols = np.arange(len(stale))
-                labels[stale] = own
-                nearest[stale] = d2[own, cols]
-                d2[own, cols] = np.inf
-                lower[stale] = np.sqrt(d2.min(axis=0))
+                stale = np.flatnonzero(
+                    np.sqrt(nearest) * (1.0 + LLOYD_MARGIN) + LLOYD_FLOOR_M >= lower)
+            d2 = _sq_dist(cx[:, None], cy[:, None], x[stale], y[stale])
+            own = d2.argmin(axis=0)
+            cols = np.arange(len(stale))
+            labels[stale] = own
+            nearest[stale] = d2[own, cols]
+            d2[own, cols] = np.inf
+            lower[stale] = np.sqrt(d2.min(axis=0))
         if shift < KMEANS_TOL_M or step == KMEANS_MAX_ITER:
             break
         sse_history.append(float(nearest.sum()))
@@ -327,7 +310,7 @@ def kmeans(pts: np.ndarray, k: int, seed: int) -> ClusterSet:
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
     rng = np.random.default_rng(seed)
-    _, labels, _ = _lloyd(pts, *_kmeans_pp_init(pts, k, rng))
+    _, labels, _ = _lloyd(pts, _kmeans_pp_init(pts, k, rng))
     # one stable argsort lists every cluster's members in index order
     order = np.argsort(labels, kind="stable").tolist()
     ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()

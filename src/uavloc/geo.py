@@ -14,6 +14,11 @@ kernels (np.arcsin, np.log10, and x * x for x ** 2, which Python takes from
 libm's pow) round some rows differently. Only + - * /, sqrt, min and the
 degree/radian products run in numpy; v * _DEG and v * _RAD are the very
 products math.degrees and math.radians compute.
+
+`cluster.SurveyDiameter` keeps its own radians-first numpy haversine on
+purpose: acceptance criterion 6 and the `diameter_oracle` of
+tests/test_incremental.py pin its bits, which differ from this module's, so
+it must not be merged into `_haversine`.
 """
 
 from __future__ import annotations
@@ -116,19 +121,24 @@ def project(origin: GeoPoint, lat, lon):
     least the great-circle distance; a row where it stays 1e-9 relative
     below the limit is within range. Every other row is decided by
     `haversine` itself, in row order, so the error names the first far row
-    with the distance `haversine` gives.
+    with the distance `haversine` gives. A row in range across the
+    antimeridian from origin, more than half a turn east or west of it, is
+    projected the short way round; every other row keeps its bits.
     """
     lat = np.asarray(lat, dtype=float)
     lon = np.asarray(lon, dtype=float)
     dlat = np.radians(lat - origin.lat)
     dlon = np.radians(lon - origin.lon)
     reach = np.abs(dlat) + np.abs(dlon)
-    for i in np.flatnonzero(reach * EARTH_RADIUS_M >= MAX_PROJECTION_RANGE_M * (1.0 - 1e-9)):
+    far = np.flatnonzero(reach * EARTH_RADIUS_M >= MAX_PROJECTION_RANGE_M * (1.0 - 1e-9))
+    for i in far:
         d = haversine(origin, GeoPoint(float(lat.flat[i]), float(lon.flat[i])))
         if d > MAX_PROJECTION_RANGE_M:
             raise ValueError(
                 f"point {d:.0f} m from origin exceeds projection range "
                 f"({MAX_PROJECTION_RANGE_M:.0f} m)")
+    if len(far):
+        dlon = np.where(np.abs(dlon) > math.pi, dlon - np.copysign(2.0 * math.pi, dlon), dlon)
     return EARTH_RADIUS_M * dlon * math.cos(math.radians(origin.lat)), EARTH_RADIUS_M * dlat
 
 
@@ -138,6 +148,13 @@ def unproject(origin: GeoPoint, q: PlanarPoint) -> GeoPoint:
 
 
 def unproject_columns(origin: GeoPoint, x, y):
-    """(lat, lon) in degrees of planar x and y, floats or columns alike."""
-    return (origin.lat + y / EARTH_RADIUS_M * _DEG,
-            origin.lon + x / (EARTH_RADIUS_M * math.cos(origin.lat * _RAD)) * _DEG)
+    """(lat, lon) in degrees of planar x and y, floats or columns alike.
+
+    A point within the projection range whose longitude lands past +-180
+    degrees lies across the antimeridian and comes back by one turn; a point
+    farther off keeps its longitude, so GeoPoint rejects it. Every other
+    row keeps its bits, since lon - 0.0 is lon.
+    """
+    lon = origin.lon + x / (EARTH_RADIUS_M * math.cos(origin.lat * _RAD)) * _DEG
+    turns = ((lon > 180.0) * 1 - (lon < -180.0)) * (x * x + y * y <= MAX_PROJECTION_RANGE_M ** 2)
+    return origin.lat + y / EARTH_RADIUS_M * _DEG, lon - 360.0 * turns

@@ -21,7 +21,6 @@ import dataclasses
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -74,9 +73,9 @@ class FlightPlan:
             return 2.0 * math.pi * self.radius * self.turns
         return self._lanes[2]
 
-    @cached_property
+    @property
     def _lanes(self):
-        """Lawnmower lane y offsets, lane gap and path length, computed once per plan."""
+        """Lawnmower lane y offsets, lane gap and path length."""
         n_lanes = max(2, int(round(self.height / self.spacing)) + 1)
         ys = np.linspace(-self.height / 2.0, self.height / 2.0, n_lanes)
         gap = abs(ys[1] - ys[0])
@@ -112,11 +111,11 @@ class SimScenario:
     seed: int
 
 
-def generate_trajectory(plan: FlightPlan, duration: float, dt: float):
-    """(t, lat, lon) columns of waypoints sampled every dt seconds at constant speed."""
-    if not duration > 0 or not dt > 0:
-        raise ValueError("duration and dt must be positive")
-    t = np.arange(max(1, int(math.floor(duration / dt)))) * dt
+def generate_trajectory(plan: FlightPlan, duration: float):
+    """(t, lat, lon) columns of waypoints sampled every SAMPLE_PERIOD_S at constant speed."""
+    if not duration > 0:
+        raise ValueError("duration must be positive")
+    t = np.arange(max(1, int(math.floor(duration / SAMPLE_PERIOD_S)))) * SAMPLE_PERIOD_S
     return (t, *unproject_columns(plan.center, *plan.position_at(plan.speed * t)))
 
 
@@ -126,7 +125,7 @@ def simulate_observations(sc: SimScenario, duration: float):
     Samples coincident with the target (distance 0) are skipped with a
     warning, since the free-space model is singular there.
     """
-    t, lat, lon = generate_trajectory(sc.plan, duration, SAMPLE_PERIOD_S)
+    t, lat, lon = generate_trajectory(sc.plan, duration)
     d = haversine_columns(lat, lon, sc.target)
     keep = d != 0.0
     if not keep.all():

@@ -112,7 +112,7 @@ def test_kmeans_rejects_bad_k():
 def test_lloyd_sse_non_increasing():
     rng = np.random.default_rng(12)
     pts = rng.uniform(0, 1000, size=(120, 2))
-    centers, _ = _kmeans_pp_init(pts, 6, rng)
+    centers = _kmeans_pp_init(pts, 6, rng)
     _, _, sse = _lloyd(pts, centers)
     assert all(a >= b - 1e-9 for a, b in zip(sse, sse[1:]))
 

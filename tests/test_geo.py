@@ -88,6 +88,27 @@ def test_round_trip_within_10km():
         assert abs(back.lon - p.lon) < 1e-9
 
 
+@pytest.mark.parametrize("lon0", [179.9995, -179.9995])
+def test_round_trip_across_antimeridian(lon0):
+    # rows on both sides of +-180 degrees project the short way round, as far
+    # from the origin as haversine puts them, and come back to themselves
+    o = GeoPoint(10.0, lon0)
+    rng = np.random.default_rng(19)
+    lat = o.lat + rng.uniform(-0.01, 0.01, 200)
+    lon = (lon0 + rng.uniform(-0.01, 0.01, 200) + 180.0) % 360.0 - 180.0
+    assert (lon < 0.0).any() and (lon > 0.0).any()
+    x, y = project(o, lat, lon)
+    for la, lo, xi, yi in zip(lat.tolist(), lon.tolist(), x.tolist(), y.tolist()):
+        h = haversine(o, GeoPoint(la, lo))
+        assert abs(math.hypot(xi, yi) - h) <= 1e-3 * h
+        back = unproject(o, PlanarPoint(xi, yi))
+        assert abs(back.lat - la) < 1e-9
+        assert abs(back.lon - lo) < 1e-9
+    # a point off the projection range past +-180 degrees is still refused
+    with pytest.raises(ValueError, match="longitude"):
+        unproject(o, PlanarPoint(math.copysign(2.0 * MAX_PROJECTION_RANGE_M, lon0), 0.0))
+
+
 def test_planar_norm_tracks_haversine():
     # within 10 km of the origin, planar distance and haversine agree to 0.1%
     o = GeoPoint(40.8081, 29.3560)

@@ -2,9 +2,9 @@
 
 The survey diameter is folded in batch by batch and pruned by chord length,
 Lloyd skips the distance rows its bounds rule out, takes centres from
-bincount sums and stops at a fixed point, and reference selection takes each
-cluster's first strongest member in row order; all must give exactly the
-bits of the full computation.
+bincount sums and, on its dense path, stops at a fixed point, and reference
+selection takes each cluster's first strongest member in row order; all
+must give exactly the bits of the full computation.
 The oracles below are the full-computation implementations they replaced.
 k-means++ seeding has a dense path for windows of at most KMEANS_DENSE_MAX_N
 points, and Lloyd for those and for at most LLOYD_DENSE_MAX_K centres, so
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from uavloc import cluster
 from uavloc.cluster import (CHORD2_MARGIN, KMEANS_MAX_ITER, KMEANS_TOL_M, ClusterSet,
-                            Observation, SurveyDiameter, _kmeans_pp_init, _lloyd, _sq_dist,
+                            Observation, SurveyDiameter, _kmeans_pp_init, _lloyd,
                             kmeans, select_reference_nodes)
 from uavloc.geo import EARTH_RADIUS_M, GeoPoint, PlanarPoint
 from uavloc.pathloss import Calibration, rssi_to_distance
@@ -178,13 +178,8 @@ def test_kmeans_pp_init_matches_row_sum_oracle(case):
     want = kmeans_pp_oracle(pts, k, np.random.default_rng(seed))
     for bound in PATH_BOUNDS:
         with kmeans_path(bound):
-            got, rows = _kmeans_pp_init(pts, k, np.random.default_rng(seed))
+            got = _kmeans_pp_init(pts, k, np.random.default_rng(seed))
         assert np.array_equal(bits(got), bits(want))
-        # the rows are Lloyd's first full rows for these centres
-        full = _sq_dist(got[:, :1], got[:, 1:], pts[:, 0], pts[:, 1])
-        assert np.array_equal(bits(rows), bits(full))
-        with kmeans_path(bound):
-            assert_same_lloyd(_lloyd(pts, got, rows), _lloyd(pts, got))
 
 
 def test_lloyd_reseeds_empty_cluster_like_the_loop():
@@ -242,7 +237,7 @@ def test_kmeans_pp_draw_matches_rng_choice(case):
     for bound in PATH_BOUNDS:
         got_rng = np.random.default_rng(seed)
         with kmeans_path(bound):
-            got, _ = _kmeans_pp_init(pts, k, got_rng)
+            got = _kmeans_pp_init(pts, k, got_rng)
         assert np.array_equal(bits(got), bits(want))
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 

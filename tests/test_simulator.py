@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from uavloc.geo import GeoPoint, PlanarPoint, haversine, project, unproject
 from uavloc.pathloss import calibration_from_tx, friis_rssi, sample_shadowed_rssi
 from uavloc.simulator import (SAMPLE_PERIOD_S, SPEED_OF_LIGHT, FlightPlan, SimScenario,
                               TxParams, evaluate, generate_trajectory, gtu_sim_scenario,
-                              run_baseline_svd, simulate_observations, sweep_ma,
+                              run_baseline_svd, run_estimator, simulate_observations, sweep_ma,
                               sweep_ma_log)
 
 CENTER = GeoPoint(40.8081, 29.3560)
@@ -30,7 +31,7 @@ def lawnmower(width=1000.0, height=800.0, spacing=100.0, speed=20.0):
 
 def test_loiter_geometry():
     plan = loiter(radius=300.0, speed=20.0)
-    _, lat, lon = generate_trajectory(plan, 90.0, 1.0)
+    _, lat, lon = generate_trajectory(plan, 90.0)
     traj = [GeoPoint(a, b) for a, b in zip(lat.tolist(), lon.tolist())]
     for p in traj:
         assert haversine(CENTER, p) == pytest.approx(300.0, abs=0.1)
@@ -42,21 +43,21 @@ def test_loiter_geometry():
 def test_lawnmower_bounding_box():
     plan = lawnmower(width=1000.0, height=800.0, spacing=100.0)
     dur = plan.path_length() / plan.speed
-    _, lat, lon = generate_trajectory(plan, dur, 1.0)
+    _, lat, lon = generate_trajectory(plan, dur)
     xs, ys = project(CENTER, lat, lon)
     assert max(xs) - min(xs) == pytest.approx(1000.0, abs=1.0)
     assert max(ys) - min(ys) == pytest.approx(800.0, abs=1.0)
 
 
 def test_short_duration_single_point():
-    t, lat, lon = generate_trajectory(loiter(), 0.5, 1.0)
+    t, lat, lon = generate_trajectory(loiter(), 0.5)
     assert len(t) == len(lat) == len(lon) == 1
     assert t[0] == 0.0
 
 
 def test_trajectory_rejects_bad_args():
     with pytest.raises(ValueError):
-        generate_trajectory(loiter(), -1.0, 1.0)
+        generate_trajectory(loiter(), -1.0)
     with pytest.raises(ValueError):
         FlightPlan(kind="loiter", center=CENTER, speed=0.5, radius=100.0)
     with pytest.raises(ValueError):
@@ -89,7 +90,7 @@ def test_observations_deterministic():
 
 def test_target_on_trajectory_skipped():
     plan = loiter()
-    _, lat, lon = generate_trajectory(plan, 10.0, 1.0)
+    _, lat, lon = generate_trajectory(plan, 10.0)
     first_pos = GeoPoint(float(lat[0]), float(lon[0]))
     sc = SimScenario(plan=plan, target=first_pos, tx=TX, sigma_db=0.0, seed=0)
     obs = simulate_observations(sc, 10.0)
@@ -198,6 +199,23 @@ def test_baseline_zero_noise():
     cal = calibration_from_tx(sc.tx, 100.0)
     est = run_baseline_svd(obs, cal, obs[0].pos)
     assert evaluate(est, sc.target) < 1.0
+
+
+@pytest.mark.parametrize("lon", [179.999, -179.999, 179.99])
+def test_zero_noise_survey_across_antimeridian(lon):
+    # criterion 1's zero-noise survey with its plan centred by the
+    # antimeridian, so its lanes cross +-180 degrees; it is found as well
+    sc = gtu_sim_scenario(seed=0, sigma_db=0.0)
+    center = GeoPoint(sc.plan.center.lat, lon)
+    sc = dataclasses.replace(sc, plan=dataclasses.replace(sc.plan, center=center),
+                             target=unproject(center, PlanarPoint(244.0, -235.0)))
+    obs = simulate_observations(sc, 600.0)
+    lons = [o.pos.lon for o in obs]
+    assert min(lons) < -179.99 and max(lons) > 179.99
+    est = run_estimator(obs, EstimatorConfig(ma=130.0, cal=calibration_from_tx(sc.tx, 100.0),
+                                             seed=0))
+    estimate, _ = est.best_estimate()
+    assert evaluate(estimate, sc.target) < 1.0
 
 
 def test_baseline_degenerate_geometry():
