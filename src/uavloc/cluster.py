@@ -5,6 +5,7 @@ reference-node selection."""
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ LLOYD_DENSE_MAX_K = 3
 CHORD2_MARGIN = 1e-13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """One telemetry sample: timestamp, GPS position, RSSI reading."""
 
@@ -50,6 +51,36 @@ class Observation:
             raise ValueError(f"non-finite timestamp {self.t}")
         if not -200.0 <= self.rssi <= 50.0:
             raise ValueError(f"rssi {self.rssi} dBm outside [-200, 50]")
+
+
+def rejected(t, lat, lon, rssi):
+    """Mask of the rows of float columns that `Observation(t, GeoPoint(lat,
+    lon), rssi)` rejects: the checks of both constructors in one numpy pass.
+    |v| <= bound is false for nan and +-inf, so it also checks finiteness.
+    It must change with those checks; tests/test_cluster.py holds it to them
+    on every bound and one ulp past it."""
+    return ~(np.isfinite(t) & (np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0)
+             & (rssi >= -200.0) & (rssi <= 50.0))
+
+
+def observations(t, lat, lon, rssi) -> list:
+    """`Observation(t[i], GeoPoint(lat[i], lon[i]), rssi[i])` for every row of
+    four columns, lists of floats, built without a constructor call per row.
+
+    The columns are screened first (`rejected`), and the first row flagged
+    goes through the constructors, so the ValueError raised is theirs.
+    Otherwise every row passes their checks, and its slots are written
+    directly with the columns' own float objects: a slot's descriptor sets
+    it past the frozen dataclass's __setattr__, one C-level map per field.
+    """
+    for i in np.flatnonzero(rejected(*map(np.array, (t, lat, lon, rssi))))[:1]:
+        Observation(t[i], GeoPoint(lat[i], lon[i]), rssi[i])  # raises
+    pos, rows = (list(map(object.__new__, [cls] * len(t))) for cls in (GeoPoint, Observation))
+    for slot, objs, col in ((GeoPoint.lat, pos, lat), (GeoPoint.lon, pos, lon),
+                            (Observation.t, rows, t), (Observation.pos, rows, pos),
+                            (Observation.rssi, rows, rssi)):
+        deque(map(slot.__set__, objs, col), maxlen=0)
+    return rows
 
 
 @dataclass(frozen=True)

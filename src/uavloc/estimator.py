@@ -94,6 +94,7 @@ class Estimator:
         self.origin: GeoPoint | None = None
         # carried across iterations; observations[:_seen] are folded in
         self._seen = 0
+        self._batch_size = config.batch_size
         self._kept: list[cl.Observation] = []
         self._xy = np.empty((0, 2))  # planar positions of _kept
         self._rssi = np.empty(0)
@@ -101,13 +102,13 @@ class Estimator:
 
     def ingest(self, o: cl.Observation) -> IterationResult | None:
         """Append one observation; run an iteration on each full batch."""
-        if self.observations and o.t < self.observations[-1].t:
-            raise ObservationOrderError(
-                f"timestamp {o.t} precedes last observation {self.observations[-1].t}")
-        if self.origin is None:
+        obs = self.observations
+        if not obs:
             self.origin = o.pos
-        self.observations.append(o)
-        if len(self.observations) % self.config.batch_size == 0:
+        elif o.t < obs[-1].t:
+            raise ObservationOrderError(f"timestamp {o.t} precedes last observation {obs[-1].t}")
+        obs.append(o)
+        if len(obs) % self._batch_size == 0:
             result = self.run_iteration()
             self.history.append(result)
             return result

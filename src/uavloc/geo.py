@@ -57,7 +57,7 @@ _COLUMN_OPS = dict(sin=partial(libm, math.sin), cos=partial(libm, math.cos),
                    sqrt=np.sqrt, min=np.minimum)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """WGS84 latitude/longitude pair in degrees."""
 

@@ -17,7 +17,9 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
 
-from .cluster import Observation
+import numpy as np
+
+from .cluster import observations, rejected
 from .errors import LocalizationError, LogFormatError, NoEstimateError
 from .estimator import R_THRESH_ITERATION, EstimatorConfig
 from .geo import GeoPoint, haversine
@@ -98,52 +100,80 @@ def parse_log(path: str) -> ObservationLog:
     The file is read whole and split on LF alone. Universal-newline decoding
     has already made CRLF and CR into LF, so these are the lines that
     iterating over the file gives; str.splitlines would also split on form
-    feeds and other separators. Data rows take the first branch of one pass,
-    and their checks are those of GeoPoint and Observation.
+    feeds and other separators. One pass classifies the lines: it reads the
+    metadata and the header, and keeps each data row's fields and line
+    number. `_rows` then converts all the fields at once and builds the rows
+    from their columns with `cluster.observations`, so their checks are those
+    of GeoPoint and Observation. The first bad line wins, whatever its kind,
+    as in a line-by-line parse, so an error found in the pass (a wrong field
+    count, a bad header or `# cal` line) first checks the data rows above it.
     """
     log = ObservationLog(rows=[])
-    rows = log.rows
+    fields, linenos = [], []
     saw_header = False
-    prev_t = -math.inf
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().split("\n")
-    for lineno, line in enumerate(lines, start=1):
-        parts = line.split(",")
-        if len(parts) == 4 and saw_header and line[0] != "#":
-            try:
-                t, lat, lon, rssi = map(float, parts)
-            except ValueError:
-                raise LogFormatError(f"non-numeric field in {line!r}", line=lineno)
-            try:
-                o = Observation(t, GeoPoint(lat, lon), rssi)
-            except ValueError as e:
-                raise LogFormatError(str(e), line=lineno)
-            if t < prev_t:
-                raise LogFormatError(f"timestamp {t} precedes previous row", line=lineno)
-            prev_t = t
-            rows.append(o)
-        elif not line.strip():
-            continue
-        elif line[0] == "#":
-            key, _, rest = line[1:].strip().partition(" ")
-            if key == "survey":
-                log.survey_id = rest
-            elif key == "cal":
-                log.cal = _parse_cal_comment(rest, lineno)
-            elif key:
-                log.meta[key] = rest
-        elif not saw_header:
-            if line != CSV_HEADER:
-                raise LogFormatError(f"expected header {CSV_HEADER!r}, got {line!r}",
-                                     line=lineno)
-            saw_header = True
-        else:
-            raise LogFormatError(f"expected 4 fields, got {len(parts)}", line=lineno)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            for lineno, line in enumerate(f.read().split("\n"), start=1):
+                parts = line.split(",")
+                if len(parts) == 4 and saw_header and line[0] != "#":
+                    fields += parts
+                    linenos.append(lineno)
+                elif not line.strip():
+                    continue
+                elif line[0] == "#":
+                    key, _, rest = line[1:].strip().partition(" ")
+                    if key == "survey":
+                        log.survey_id = rest
+                    elif key == "cal":
+                        log.cal = _parse_cal_comment(rest, lineno)
+                    elif key:
+                        log.meta[key] = rest
+                elif not saw_header:
+                    if line != CSV_HEADER:
+                        raise LogFormatError(f"expected header {CSV_HEADER!r}, got {line!r}",
+                                             line=lineno)
+                    saw_header = True
+                else:
+                    raise LogFormatError(f"expected 4 fields, got {len(parts)}", line=lineno)
+    except LogFormatError:
+        _rows(fields, linenos)  # a bad row above the line wins
+        raise
     if not saw_header:
         raise LogFormatError("missing header line")
-    if not rows:
+    log.rows = _rows(fields, linenos)
+    if not log.rows:
         raise LogFormatError("log contains no observations")
     return log
+
+
+def _rows(fields, linenos) -> list:
+    """The Observations of data rows given as their string fields, four a
+    row in one flat list, and their line numbers, or the LogFormatError of
+    the first bad row: a non-numeric field, a value the row types reject, or
+    a timestamp below the previous row's. A row's own value error beats its
+    timestamp going backwards."""
+    try:
+        vals = list(map(float, fields))
+    except ValueError:
+        for j, lineno in enumerate(linenos):
+            parts = fields[4 * j:4 * j + 4]
+            try:
+                list(map(float, parts))
+            except ValueError:
+                _rows(fields[:4 * j], linenos[:j])
+                raise LogFormatError(f"non-numeric field in {','.join(parts)!r}", line=lineno)
+    fields.clear()  # free the strings before the rows are built
+    cols = [vals[k::4] for k in range(4)]  # the rows share these floats
+    t = np.array(cols[0])
+    # the first row whose timestamp goes backwards, or the row count
+    b = min(np.flatnonzero(t[1:] < t[:-1]) + 1, default=len(t))
+    try:
+        rows = observations(*(c[:b + 1] for c in cols))
+    except ValueError as e:
+        raise LogFormatError(str(e), line=linenos[int(rejected(*map(np.array, cols)).argmax())])
+    if b < len(linenos):
+        raise LogFormatError(f"timestamp {rows[b].t} precedes previous row", line=linenos[b])
+    return rows
 
 
 def write_report(report: RunReport, path: str) -> None:
@@ -178,6 +208,13 @@ def _finite(text: str) -> float:
     v = float(text)
     if not math.isfinite(v):
         raise argparse.ArgumentTypeError(f"must be finite, got {v}")
+    return v
+
+
+def _positive_int(text: str) -> int:
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {v}")
     return v
 
 
@@ -224,7 +261,7 @@ def _add_cal_flags(p):
 
 def _add_run_flags(p):
     """Estimator and scoring flags shared by `estimate` and `sweep-ma`."""
-    p.add_argument("--batch", type=int, default=50)
+    p.add_argument("--batch", type=_positive_int, default=50)
     p.add_argument("--min-rssi", type=_finite)
     p.add_argument("--r-thresh", type=_r_thresh, default=R_THRESH_ITERATION)
     p.add_argument("--seed", type=int, default=0)

@@ -7,7 +7,11 @@ the cluster granularity sweep used for evaluation.
 
 A survey is computed as columns (time, position, distance to the target,
 RSSI), one call per stage over all samples, and its `Observation` rows are
-built once, at the end. Every row gets the bits a per-sample loop of the
+built once, at the end, by `cluster.observations`: one numpy pass screens
+the columns by the checks of GeoPoint and Observation, so a survey that
+strays out of range (past a pole, say) raises the constructors' own error
+for its first bad row, and the rows are then written without a constructor
+call each. Every row gets the bits a per-sample loop of the
 scalar `unproject`, `haversine` and `sample_shadowed_rssi` gives: the
 transcendental row operations (sin, cos, asin, log10 and squares) go
 through libm row by row, because numpy's SIMD kernels round some rows
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import Observation, ReferenceNode
+from .cluster import ReferenceNode, observations
 from .errors import NoEstimateError
 from .estimator import Estimator, EstimatorConfig
 from .geo import (GeoPoint, PlanarPoint, haversine, haversine_columns, libm, project,
@@ -132,8 +136,7 @@ def simulate_observations(sc: SimScenario, duration: float):
         log.warning("skipped %d samples coincident with the target", len(d) - keep.sum())
         t, lat, lon, d = t[keep], lat[keep], lon[keep], d[keep]
     rssi = sample_shadowed_rssi(sc.tx, d, sc.sigma_db, np.random.default_rng(sc.seed))
-    return [Observation(ti, GeoPoint(la, lo), r)
-            for ti, la, lo, r in zip(t.tolist(), lat.tolist(), lon.tolist(), rssi.tolist())]
+    return observations(t.tolist(), lat.tolist(), lon.tolist(), rssi.tolist())
 
 
 def evaluate(estimate: GeoPoint, truth: GeoPoint) -> float:

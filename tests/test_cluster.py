@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavloc.cluster import (ClusterSet, Observation, SurveyDiameter, _kmeans_pp_init,
-                            _lloyd, compute_k, filter_clusters, kmeans,
+                            _lloyd, compute_k, filter_clusters, kmeans, observations,
                             select_reference_nodes, threshold_rssi)
 from uavloc.geo import GeoPoint, PlanarPoint, project, unproject
 from uavloc.pathloss import Calibration
@@ -159,3 +163,45 @@ def test_observation_validation():
         Observation(t=0.0, pos=ORIGIN, rssi=60.0)
     with pytest.raises(ValueError):
         Observation(t=float("nan"), pos=ORIGIN, rssi=-60.0)
+
+
+def edges(*bounds):
+    """Non-finite values, signed zeros, subnormals, each bound and one ulp
+    either side of it."""
+    near = [math.nextafter(b, d) for b in bounds for d in (-math.inf, math.inf)]
+    return [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+            2.2250738585072014e-308, *bounds, *near]
+
+
+def column_values(lo, hi):
+    return st.one_of(st.floats(lo, hi), st.sampled_from(edges(lo, hi)), st.floats())
+
+
+@st.composite
+def row_columns(draw):
+    n = draw(st.integers(1, 4))
+    return [draw(st.lists(values, min_size=n, max_size=n))
+            for values in (column_values(0.0, 1e4), column_values(-90.0, 90.0),
+                           column_values(-180.0, 180.0), column_values(-200.0, 50.0))]
+
+
+def built_one_by_one(t, lat, lon, rssi):
+    """The rows the constructors build, or the message of the first they reject."""
+    try:
+        return [Observation(ti, GeoPoint(la, lo), r) for ti, la, lo, r in zip(t, lat, lon, rssi)]
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(row_columns())
+def test_observations_screen_rejects_exactly_what_the_constructors_reject(cols):
+    want = built_one_by_one(*cols)
+    try:
+        got = observations(*cols)
+    except ValueError as e:
+        got = str(e)
+    assert type(got) is type(want) and got == want
+    if not isinstance(want, str):
+        hexes = [[float.hex(v) for v in (o.t, o.pos.lat, o.pos.lon, o.rssi)] for o in got]
+        assert hexes == [[float.hex(v) for v in row] for row in zip(*cols)]

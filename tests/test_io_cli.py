@@ -1,16 +1,19 @@
+import gc
 import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from uavloc.cluster import Observation
 from uavloc.errors import LogFormatError
+from uavloc.estimator import EstimatorConfig
 from uavloc.geo import GeoPoint
 from uavloc.io_cli import (CSV_HEADER, ObservationLog, RunReport, _parse_cal_comment,
                            build_parser, main, parse_log, read_report, write_log, write_report)
-from uavloc.pathloss import Calibration
+from uavloc.pathloss import Calibration, calibration_from_tx
+from uavloc.simulator import gtu_sim_scenario, run_estimator, simulate_observations
 
 
 def sample_log():
@@ -187,18 +190,19 @@ CORRUPTIONS = ["none", "split", "text", "non-finite", "range", "backwards",
                "backwards-and-text"]
 
 
-@st.composite
-def log_texts(draw):
-    n = draw(st.integers(1, 12))
+def draw_rows(draw, n):
+    """n valid rows in time order, and the spelling of each field."""
     t, rows = 0.0, []
     for _ in range(n):
         t += draw(in_range(0.0, 100.0))
         rows.append([t, draw(in_range(-90.0, 90.0)), draw(in_range(-180.0, 180.0)),
                      draw(in_range(-200.0, 50.0))])
-    fields = [[spell(v, draw(spellings)) for v in row] for row in rows]
-    # over half the logs are clean
-    corrupt = draw(st.one_of(st.just("none"), st.sampled_from(CORRUPTIONS)))
-    i = draw(st.integers(0, n - 1))
+    return rows, [[spell(v, draw(spellings)) for v in row] for row in rows]
+
+
+def corrupt_row(draw, rows, fields, i, corrupt):
+    """Apply one of CORRUPTIONS to row i's fields."""
+    n = len(fields)
     if corrupt == "split":  # a 3-field row, then a 5-field one if there is a next row
         moved = fields[i].pop()
         if i + 1 < n:
@@ -214,6 +218,15 @@ def log_texts(draw):
                                              3: ["50.5", "-200.01"]}[j]))
     if corrupt.startswith("backwards") and i > 0:
         fields[i][0] = repr(rows[i - 1][0] - 1.0)
+
+
+@st.composite
+def log_texts(draw):
+    n = draw(st.integers(1, 12))
+    rows, fields = draw_rows(draw, n)
+    # over half the logs are clean
+    corrupt = draw(st.one_of(st.just("none"), st.sampled_from(CORRUPTIONS)))
+    corrupt_row(draw, rows, fields, draw(st.integers(0, n - 1)), corrupt)
     lines = draw(st.lists(meta_lines, max_size=4)) + [CSV_HEADER]
     for row in fields:
         lines += draw(st.lists(meta_lines, max_size=2)) + [",".join(row)]
@@ -241,6 +254,50 @@ def test_parse_log_matches_line_by_line_oracle(tmp_path, text):
     path = tmp_path / "obs.csv"
     path.write_bytes(text.encode("utf-8"))
     assert parse_outcome(parse_log, str(path)) == parse_outcome(parse_log_oracle, str(path))
+
+
+BAD_CAL = ["# cal d0=100 p0=-45 n=x", "# cal d0=100 p0=-45", "# cal d0=100 p0=-45 n=2 x",
+           "# cal d0=100 p0=nan n=2"]
+
+
+@st.composite
+def two_corruption_log_texts(draw):
+    """Logs like log_texts' with two corruptions on different rows, each one
+    of CORRUPTIONS or a bad `# cal` line just above the row."""
+    n = draw(st.integers(2, 8))
+    rows, fields = draw_rows(draw, n)
+    cal_above = set()
+    for i in sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))):
+        corrupt = draw(st.sampled_from(CORRUPTIONS[1:] + ["bad-cal"]))
+        if corrupt == "bad-cal":
+            cal_above.add(i)
+        else:
+            corrupt_row(draw, rows, fields, i, corrupt)
+    lines = draw(st.lists(meta_lines, max_size=2)) + [CSV_HEADER]
+    for i, row in enumerate(fields):
+        lines += draw(st.lists(meta_lines, max_size=1))
+        if i in cal_above:
+            lines.append(draw(st.sampled_from(BAD_CAL)))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(two_corruption_log_texts())
+@example("t_s,lat_deg,lon_deg,rssi_dbm\n5,40,29,-60\n4,40,29,-60\n6,40,29\n")
+@example("t_s,lat_deg,lon_deg,rssi_dbm\n5,40,29,-60\n6,91,29,-60\n# cal d0=1 p0=2\n")
+@example("t_s,lat_deg,lon_deg,rssi_dbm\n5,40,29,-60\n4,40,29,-60\n6,abc,29,-60\n")
+def test_parse_log_first_of_two_errors_wins_as_in_line_by_line_oracle(tmp_path, text):
+    # the columnar parse checks rows only after its pass over the lines, so
+    # an error found in the pass must still lose to a bad row above it
+    path = tmp_path / "obs.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(LogFormatError) as want:
+        parse_log_oracle(str(path))
+    with pytest.raises(LogFormatError) as got:
+        parse_log(str(path))
+    assert (str(got.value), got.value.line) == (str(want.value), want.value.line)
 
 
 def test_report_round_trip(tmp_path):
@@ -346,6 +403,43 @@ def test_cli_simulate_rejects_bad_sigma(tmp_path, capsys, value):
     assert exc.value.code == 2
     assert "must be non-negative and finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep-ma"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cli_non_positive_batch_is_a_usage_error(tmp_path, capsys, command, value):
+    obs = tmp_path / "obs.csv"
+    out = tmp_path / "out"
+    write_log(sample_log(), str(obs))
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--obs", str(obs), "--truth", "40.8,29.35", f"--batch={value}",
+                 "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"must be a positive integer, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parse_simulate_and_estimate_leave_no_reference_cycles(tmp_path):
+    # objects in a reference cycle outlive their last use until the cyclic
+    # collector runs, so a parse that left its lines and fields in one would
+    # hold them, and the process's peak memory, well past its return
+    sc = gtu_sim_scenario(seed=1)
+    cal = calibration_from_tx(sc.tx, d0=100.0)
+    path = tmp_path / "obs.csv"
+    gc.collect()
+    gc.disable()
+    try:
+        obs = simulate_observations(sc, sc.plan.path_length() / sc.plan.speed)
+        assert gc.collect() == 0
+        write_log(ObservationLog(rows=obs, cal=cal), str(path))
+        log = parse_log(str(path))
+        assert gc.collect() == 0
+        est = run_estimator(log.rows, EstimatorConfig(ma=20.0, cal=log.cal, min_dbm=-46.0,
+                                                      r_thresh=1, seed=1))
+        est.best_estimate()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_cli_unknown_subcommand(tmp_path):

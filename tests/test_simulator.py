@@ -187,6 +187,20 @@ def test_simulate_observations_matches_per_sample_loop(case):
         assert len(got) < max(1, int(math.floor(duration / SAMPLE_PERIOD_S)))
 
 
+def test_survey_past_the_pole_raises_as_the_per_sample_loop():
+    # a 2 km loiter about 89.99 degrees north reaches latitude 90.008; the
+    # first row past 90 raises the ValueError the per-sample loop raises
+    sc = SimScenario(plan=FlightPlan(kind="loiter", center=GeoPoint(89.99, 10.0), speed=20.0,
+                                     radius=2000.0),
+                     target=GeoPoint(89.98, 10.0), tx=TX, sigma_db=3.0, seed=0)
+    with pytest.raises(ValueError) as want:
+        simulate_oracle(sc, 600.0)
+    with pytest.raises(ValueError) as got:
+        simulate_observations(sc, 600.0)
+    assert str(got.value) == str(want.value)
+    assert str(want.value).startswith("latitude 90.00")
+
+
 def test_evaluate():
     assert evaluate(CENTER, CENTER) == 0.0
     d = evaluate(GeoPoint(0.0, 0.0), GeoPoint(0.0, 0.001))
