@@ -65,15 +65,20 @@ def rejected(t, lat, lon, rssi):
 
 def observations(t, lat, lon, rssi) -> list:
     """`Observation(t[i], GeoPoint(lat[i], lon[i]), rssi[i])` for every row of
-    four columns, lists of floats, built without a constructor call per row.
+    four columns, built without a constructor call per row. Each column is a
+    list of floats or a 1-D float array; an array's values are stored as
+    Python floats (its `tolist`), a list's as its own float objects.
 
     The columns are screened first (`rejected`), and the first row flagged
     goes through the constructors, so the ValueError raised is theirs.
     Otherwise every row passes their checks, and its slots are written
-    directly with the columns' own float objects: a slot's descriptor sets
-    it past the frozen dataclass's __setattr__, one C-level map per field.
+    directly: a slot's descriptor sets it past the frozen dataclass's
+    __setattr__, one C-level map per field.
     """
-    for i in np.flatnonzero(rejected(*map(np.array, (t, lat, lon, rssi))))[:1]:
+    flagged = np.flatnonzero(rejected(*map(np.asarray, (t, lat, lon, rssi))))
+    t, lat, lon, rssi = (c.tolist() if isinstance(c, np.ndarray) else c
+                         for c in (t, lat, lon, rssi))
+    for i in flagged[:1]:
         Observation(t[i], GeoPoint(lat[i], lon[i]), rssi[i])  # raises
     pos, rows = (list(map(object.__new__, [cls] * len(t))) for cls in (GeoPoint, Observation))
     for slot, objs, col in ((GeoPoint.lat, pos, lat), (GeoPoint.lon, pos, lon),
@@ -83,9 +88,28 @@ def observations(t, lat, lon, rssi) -> list:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterSet:
-    clusters: tuple  # one ascending tuple of member indices per cluster
+    """A k-means labelling and the clusters kept from it.
+
+    labels[i] is row i's cluster id and counts[c] the size of cluster c;
+    ids lists the kept clusters' ids, ascending. `kmeans` keeps every
+    non-empty cluster, and `filter_clusters` narrows ids by count. Labels and
+    counts are never copied or changed.
+    """
+
+    labels: np.ndarray
+    counts: np.ndarray
+    ids: np.ndarray
+
+    @property
+    def clusters(self) -> tuple:
+        """One ascending tuple of member rows per kept cluster, in id order:
+        a view derived from the labels, not used by the estimator."""
+        order = np.argsort(self.labels, kind="stable").tolist()
+        ends = np.cumsum(self.counts)[self.ids].tolist()
+        return tuple(tuple(order[end - c:end])
+                     for end, c in zip(ends, self.counts[self.ids].tolist()))
 
 
 @dataclass(frozen=True)
@@ -205,11 +229,19 @@ def _columns(pts: np.ndarray):
     return np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
 
 
-def _sq_dist(ax, ay, bx, by):
-    """Squared planar distance (ax - bx)^2 + (ay - by)^2, broadcast elementwise."""
-    dx = ax - bx
-    dy = ay - by
-    return dx * dx + dy * dy
+def _sq_dist(ax, ay, bx, by, dx=None, dy=None):
+    """Squared planar distance (ax - bx)^2 + (ay - by)^2, broadcast elementwise.
+
+    The squares and their sum are taken in place, in the differences' arrays:
+    new ones, or the buffers dx and dy when given (they may be bx and by).
+    The result is in dx.
+    """
+    dx = np.subtract(ax, bx, out=dx)
+    dx *= dx
+    dy = np.subtract(ay, by, out=dy)
+    dy *= dy
+    dx += dy
+    return dx
 
 
 def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -221,15 +253,18 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     index and the same generator state afterwards.
 
     A window of at most KMEANS_DENSE_MAX_N points takes each chosen centre's
-    row from one n x n matrix; (x_c - x)^2 has the bits of (x - x_c)^2.
+    row from one n x n matrix; (x_c - x)^2 has the bits of (x - x_c)^2. A
+    larger window writes each chosen centre's row into one reused buffer.
     """
     n = len(pts)
     x, y = _columns(pts)
     if n <= KMEANS_DENSE_MAX_N:
         row = _sq_dist(x[:, None], y[:, None], x, y).__getitem__
     else:
+        buf, dy = np.empty(n), np.empty(n)
+
         def row(c):
-            return _sq_dist(x, y, *pts[c].tolist())
+            return _sq_dist(x, y, *pts[c].tolist(), buf, dy)
     chosen = [rng.integers(n)]
     d2 = row(chosen[0]).copy()  # np.minimum writes into d2 below
     cdf = np.empty(n)
@@ -255,33 +290,47 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray):
     otherwise it records the SSE and moves each centre to its members' mean.
     So the labels returned are those of the centres returned.
 
-    Each point carries its exact distance to its own centre and a lower bound
-    on its distance to every other one, lowered each step by the last move's
-    largest centre shift. A point gets a full row of k distances only on the
-    first step or when its own distance, widened by LLOYD_MARGIN, reaches the
-    bound. The margin is far above the rounding of the distances and of the
-    bound updates, and near-ties take the full row, so labels, centres and
-    SSE are those of the plain loop bit for bit (argmin's first-index rule).
-    The full rows are laid out (k, m), centres down and points along the
-    contiguous axis, so argmin and min reduce over the k rows; (c - p)^2 has
-    the bits of (p - c)^2.
+    Each point carries its exact squared distance to its own centre and a
+    limit lim = (lower - LLOYD_FLOOR_M) / (1 + LLOYD_MARGIN), where lower is
+    a lower bound on its distance to every other centre: the square root of
+    its runner-up entry when it last got a full row of k distances. Each
+    step lowers lim by the last move's largest centre shift times
+    (1 + LLOYD_MARGIN). A point gets a full row only on the first step or
+    when the square root of its own squared distance reaches lim; the others
+    keep their labels. lim stays conservative: every distance, root, quotient
+    and decrement in it rounds by about 1e-16 relative, far inside the 1e-9
+    margin; the true bound falls by at most the true shift per step, and a
+    decrement of shift alone would keep lim's scaling, so decrementing by
+    shift * (1 + LLOYD_MARGIN) only widens the margin. Near-ties take the
+    full row, so labels, centres and SSE are those of the plain loop bit for
+    bit (argmin's first-index rule). The floor keeps the test exact where
+    squared distances would be subnormal: a bound below it gives a negative
+    lim, so the point gets a full row.
+
+    The own distances, their roots and the test mask live in buffers made
+    once per call and filled in place. The full rows are laid out (k, m),
+    centres down and points along the contiguous axis, so argmin and min
+    reduce over the k rows, and each point's own entry is reached by its
+    flat index; (c - p)^2 has the bits of (p - c)^2.
 
     A window of at most KMEANS_DENSE_MAX_N points, or with at most
-    LLOYD_DENSE_MAX_K centres, skips the bounds: every point gets a full row
-    on every step. There a step after the first that changes no label, where
-    the last move emptied no cluster, stops once it has recorded its SSE: the
-    next move would be zero and the next step would label alike, so the
-    result and sse_history are those of running on, bit for bit.
+    LLOYD_DENSE_MAX_K centres, skips the bounds and their buffers: every
+    point gets a full row on every step. There a step after the first that
+    changes no label, where the last move emptied no cluster, stops once it
+    has recorded its SSE: the next move would be zero and the next step would
+    label alike, so the result and sse_history are those of running on, bit
+    for bit.
     """
     k = len(centers)
     n = len(pts)
     x, y = _columns(pts)
     cx, cy = _columns(centers)
     dense = n <= KMEANS_DENSE_MAX_N or k <= LLOYD_DENSE_MAX_K
-    labels = np.empty(n, dtype=np.intp)
-    nearest = np.empty(n)
-    lower = np.empty(n)
-    stale = np.arange(n)
+    if not dense:
+        labels = np.empty(n, dtype=np.intp)
+        nearest, root, lim = np.empty(n), np.empty(n), np.empty(n)
+        mask = np.empty(n, dtype=bool)
+        stale = cols = np.arange(n)
     settled = False
     sse_history = []
     shift = math.inf
@@ -295,17 +344,22 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray):
             nearest = d2.min(axis=0)
         else:
             if step:
-                lower -= shift * (1.0 + LLOYD_MARGIN)
-                nearest = _sq_dist(x, y, cx[labels], cy[labels])
-                stale = np.flatnonzero(
-                    np.sqrt(nearest) * (1.0 + LLOYD_MARGIN) + LLOYD_FLOOR_M >= lower)
+                lim -= shift * (1.0 + LLOYD_MARGIN)
+                cx.take(labels, out=nearest)
+                cy.take(labels, out=root)
+                _sq_dist(x, y, nearest, root, nearest, root)
+                np.sqrt(nearest, out=root)
+                stale = np.flatnonzero(np.greater_equal(root, lim, out=mask))
+            m = len(stale)
             d2 = _sq_dist(cx[:, None], cy[:, None], x[stale], y[stale])
             own = d2.argmin(axis=0)
-            cols = np.arange(len(stale))
             labels[stale] = own
-            nearest[stale] = d2[own, cols]
-            d2[own, cols] = np.inf
-            lower[stale] = np.sqrt(d2.min(axis=0))
+            flat = d2.reshape(-1)
+            own *= m
+            own += cols[:m]  # each point's own entry, as a flat index
+            nearest[stale] = flat[own]
+            flat[own] = np.inf
+            lim[stale] = (np.sqrt(d2.min(axis=0)) - LLOYD_FLOOR_M) / (1.0 + LLOYD_MARGIN)
         if shift < KMEANS_TOL_M or step == KMEANS_MAX_ITER:
             break
         sse_history.append(float(nearest.sum()))
@@ -335,41 +389,54 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray):
 def kmeans(pts: np.ndarray, k: int, seed: int) -> ClusterSet:
     """Deterministic K-means over (n, 2) planar points (k-means++ init, Lloyd).
 
-    Cluster members are ascending row indices into pts.
+    Returns row i's cluster id as labels[i], in the narrowest unsigned type
+    that holds k - 1, each cluster's size, and every non-empty cluster kept.
     """
     n = len(pts)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
     rng = np.random.default_rng(seed)
     _, labels, _ = _lloyd(pts, _kmeans_pp_init(pts, k, rng))
-    # one stable argsort lists every cluster's members in index order
-    order = np.argsort(labels, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
-    return ClusterSet(tuple(tuple(order[start:end])
-                            for start, end in zip([0] + ends, ends) if end > start))
+    counts = np.bincount(labels, minlength=k)
+    # the narrowest unsigned labels: numpy's stable argsort of 8- and 16-bit
+    # integers is a radix sort (2 400 labels in 20 clusters: 15 us, against
+    # 72 us as intp; 2 vCPUs, numpy 2.4)
+    return ClusterSet(labels.astype(np.min_scalar_type(k - 1)), counts, np.flatnonzero(counts))
 
 
 def filter_clusters(cs: ClusterSet, r_thresh: int) -> ClusterSet:
-    """Keep clusters with strictly more than r_thresh members."""
-    return ClusterSet(tuple(c for c in cs.clusters if len(c) > r_thresh))
+    """Keep the kept clusters with strictly more than r_thresh members."""
+    return ClusterSet(cs.labels, cs.counts, cs.ids[cs.counts[cs.ids] > r_thresh])
 
 
 def select_reference_nodes(cs: ClusterSet, obs, xy: np.ndarray, rssi: np.ndarray,
                            cal: Calibration):
-    """One reference node per cluster: its first strongest-RSSI member.
+    """One reference node per kept cluster, in id order: its first
+    strongest-RSSI member.
 
     Row i of the xy and rssi columns belongs to obs[i]; xy holds the planar
     projections the clustering ran on. Rows must be in time order (t never
-    decreasing), as the estimator keeps them. Members are ascending row
-    indices, so among equally strong members the first is the earliest,
-    and on equal timestamps the first in member order.
+    decreasing), as the estimator keeps them. One stable argsort by label
+    lists each cluster's members as one ascending segment; a segment maximum
+    gives each cluster's strongest RSSI, and the first member that equals it
+    is the anchor. So among equally strong members the first is the
+    earliest, and on equal timestamps the first in row order.
+
+    Raises ValueError when an anchor's RSSI inverts to a range that is not a
+    positive finite float (see `rssi_to_distance`).
     """
+    order = np.argsort(cs.labels, kind="stable")
+    r = rssi[order]
+    starts = np.cumsum(cs.counts) - cs.counts
+    full = cs.counts > 0
+    top = np.maximum.reduceat(r, starts[full])
+    hits = np.flatnonzero(r == np.repeat(top, cs.counts[full]))
+    rows = order[hits[hits.searchsorted(starts[cs.ids])]].tolist()
     refs = []
-    for members in cs.clusters:
-        i = members[int(rssi[list(members)].argmax())]
+    for i, (px, py) in zip(rows, xy[rows].tolist()):
         o = obs[i]
         refs.append(ReferenceNode(
-            pos_planar=PlanarPoint(*xy[i].tolist()),
+            pos_planar=PlanarPoint(px, py),
             pos_geo=o.pos,
             rssi=o.rssi,
             distance=rssi_to_distance(o.rssi, cal),

@@ -118,7 +118,8 @@ class Estimator:
         """Run one full pipeline pass over all observations so far.
 
         Pipeline failures (too few clusters, degenerate geometry, a sample
-        beyond the projection range) are reported as skipped results, never
+        beyond the projection range, an anchor RSSI whose range is not a
+        positive finite float) are reported as skipped results, never
         raised. A sample that cannot be projected leaves the carried state
         as it was, so every later iteration meets it again and skips too.
         """
@@ -149,9 +150,12 @@ class Estimator:
         k = cl.compute_k(self._kept, cfg.ma, self._diameter)
         cs = cl.kmeans(self._xy, k, _iteration_seed(cfg.seed, index))
         cs = cl.filter_clusters(cs, cfg.r_thresh_for(index))
-        if len(cs.clusters) < 3:
-            return skipped(f"only {len(cs.clusters)} clusters survive size filter")
-        refs = cl.select_reference_nodes(cs, self._kept, self._xy, self._rssi, cfg.cal)
+        if len(cs.ids) < 3:
+            return skipped(f"only {len(cs.ids)} clusters survive size filter")
+        try:
+            refs = cl.select_reference_nodes(cs, self._kept, self._xy, self._rssi, cfg.cal)
+        except ValueError as e:
+            return skipped(str(e))
         try:
             estimate, residual_rms, condition = estimate_position(refs, self.origin)
         except (InsufficientReferencesError, DegenerateGeometryError) as e:

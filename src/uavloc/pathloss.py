@@ -81,8 +81,18 @@ def rssi_to_distance(pr_dbm: float, cal: Calibration) -> float:
     """Invert the log-distance model: distance in meters for a received power.
 
     The shadowing term is taken as zero (maximum-likelihood point estimate).
+    Raises ValueError, naming the RSSI, when the range is not a positive
+    finite float: a calibration far enough from the reading overflows it
+    or underflows it to zero.
     """
-    return cal.d0 * 10.0 ** ((-pr_dbm + cal.p0_dbm) / (10.0 * cal.n))
+    try:
+        d = cal.d0 * 10.0 ** ((-pr_dbm + cal.p0_dbm) / (10.0 * cal.n))
+    except OverflowError:
+        d = math.inf
+    if not 0.0 < d < math.inf:
+        raise ValueError(f"rssi {pr_dbm} dBm inverts to range {d} m, "
+                         f"not a positive finite distance")
+    return d
 
 
 def sample_shadowed_rssi(tx: TxParams, d, sigma_db: float, rng: np.random.Generator):

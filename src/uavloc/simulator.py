@@ -136,7 +136,7 @@ def simulate_observations(sc: SimScenario, duration: float):
         log.warning("skipped %d samples coincident with the target", len(d) - keep.sum())
         t, lat, lon, d = t[keep], lat[keep], lon[keep], d[keep]
     rssi = sample_shadowed_rssi(sc.tx, d, sc.sigma_db, np.random.default_rng(sc.seed))
-    return observations(t.tolist(), lat.tolist(), lon.tolist(), rssi.tolist())
+    return observations(t, lat, lon, rssi)
 
 
 def evaluate(estimate: GeoPoint, truth: GeoPoint) -> float:

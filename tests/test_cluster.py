@@ -9,7 +9,7 @@ from uavloc.cluster import (ClusterSet, Observation, SurveyDiameter, _kmeans_pp_
                             _lloyd, compute_k, filter_clusters, kmeans, observations,
                             select_reference_nodes, threshold_rssi)
 from uavloc.geo import GeoPoint, PlanarPoint, project, unproject
-from uavloc.pathloss import Calibration
+from uavloc.pathloss import Calibration, rssi_to_distance
 
 ORIGIN = GeoPoint(40.8081, 29.3560)
 CAL = Calibration(d0=100.0, p0_dbm=-45.0, n=2.0)
@@ -17,6 +17,16 @@ CAL = Calibration(d0=100.0, p0_dbm=-45.0, n=2.0)
 
 def obs_at(x, y, rssi, t=0.0):
     return Observation(t=t, pos=unproject(ORIGIN, PlanarPoint(x, y)), rssi=rssi)
+
+
+def cluster_set(*members):
+    """The ClusterSet kmeans would return for these member tuples, which
+    partition the rows, with cluster c holding members[c]."""
+    labels = np.empty(sum(map(len, members)), dtype=np.intp)
+    for c, rows in enumerate(members):
+        labels[list(rows)] = c
+    counts = np.bincount(labels, minlength=len(members))
+    return ClusterSet(labels, counts, np.flatnonzero(counts))
 
 
 def columns(obs):
@@ -94,7 +104,8 @@ def test_kmeans_two_blobs():
 def test_kmeans_deterministic():
     rng = np.random.default_rng(9)
     pts = np.array([(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(80)])
-    assert kmeans(pts, 5, seed=42) == kmeans(pts, 5, seed=42)
+    a, b = kmeans(pts, 5, seed=42), kmeans(pts, 5, seed=42)
+    assert a.clusters == b.clusters and np.array_equal(a.labels, b.labels)
 
 
 def test_kmeans_partition():
@@ -122,11 +133,11 @@ def test_lloyd_sse_non_increasing():
 
 
 def test_filter_clusters():
-    cs = ClusterSet((
+    cs = cluster_set(
         tuple(range(0, 3)),
         tuple(range(3, 11)),
         tuple(range(11, 23)),
-    ))
+    )
     assert len(filter_clusters(cs, 0).clusters) == 3
     kept = filter_clusters(cs, 8).clusters
     assert len(kept) == 1 and len(kept[0]) == 12
@@ -135,7 +146,7 @@ def test_filter_clusters():
 
 def test_select_reference_nodes_max_rssi():
     obs = [obs_at(0, 0, -80.0, t=0), obs_at(10, 0, -60.0, t=1), obs_at(20, 0, -75.0, t=2)]
-    cs = ClusterSet(((0, 1, 2),))
+    cs = cluster_set((0, 1, 2))
     refs = select_reference_nodes(cs, obs, *columns(obs), CAL)
     assert len(refs) == 1
     assert refs[0].rssi == -60.0
@@ -144,14 +155,14 @@ def test_select_reference_nodes_max_rssi():
 
 def test_select_reference_nodes_tie_breaks_earliest():
     obs = [obs_at(0, 0, -60.0, t=3.0), obs_at(10, 0, -60.0, t=9.0)]
-    cs = ClusterSet(((0, 1),))
+    cs = cluster_set((0, 1))
     refs = select_reference_nodes(cs, obs, *columns(obs), CAL)
     assert refs[0].pos_geo == obs[0].pos
 
 
 def test_select_reference_nodes_singletons():
     obs = [obs_at(0, 0, -70.0, t=0), obs_at(500, 0, -65.0, t=1)]
-    cs = ClusterSet(((0,), (1,)))
+    cs = cluster_set((0,), (1,))
     refs = select_reference_nodes(cs, obs, *columns(obs), CAL)
     assert [r.rssi for r in refs] == [-70.0, -65.0]
     # distance comes straight from the inversion
@@ -205,3 +216,55 @@ def test_observations_screen_rejects_exactly_what_the_constructors_reject(cols):
     if not isinstance(want, str):
         hexes = [[float.hex(v) for v in (o.t, o.pos.lat, o.pos.lon, o.rssi)] for o in got]
         assert hexes == [[float.hex(v) for v in row] for row in zip(*cols)]
+
+
+# RSSI values that tie within and across clusters, both signed zeros, and
+# any other reading in range
+anchor_rssi = st.one_of(st.sampled_from([-70.0, -60.0, 0.0, -0.0]), st.floats(-200.0, 50.0))
+
+
+@st.composite
+def labellings(draw):
+    """Labels of n rows over k clusters, some of them empty, an RSSI per
+    row, and two size thresholds."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 30))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    rssi = draw(st.lists(anchor_rssi, min_size=n, max_size=n))
+    return (np.asarray(labels, dtype=np.intp), k, rssi,
+            draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(labellings())
+def test_cluster_views_and_anchors_match_member_loops(case):
+    # kmeans's ClusterSet from labels (in the narrow type it stores them
+    # in), its tuple view, two size filters and the anchors, against
+    # per-cluster loops over member tuples
+    labels, k, rssi, r1, r2 = case
+    counts = np.bincount(labels, minlength=k)
+    cs = ClusterSet(labels.astype(np.uint8), counts, np.flatnonzero(counts))
+    members = [tuple(i for i, c in enumerate(labels.tolist()) if c == cid) for cid in range(k)]
+    assert cs.clusters == tuple(m for m in members if m)
+    kept = filter_clusters(filter_clusters(cs, r1), r2)
+    want = [m for m in members if len(m) > max(r1, r2)]
+    assert kept.clusters == tuple(want)
+    obs = [Observation(t=float(i), pos=GeoPoint(40.8 + 1e-4 * i, 29.35), rssi=r)
+           for i, r in enumerate(rssi)]
+    xy = np.arange(2.0 * len(obs)).reshape(-1, 2)
+    col = np.array(rssi)
+    anchors = [m[int(np.argmax(col[list(m)]))] for m in want]
+    got = [(r.pos_planar, r.pos_geo, r.rssi.hex(), r.distance.hex())
+           for r in select_reference_nodes(kept, obs, xy, col, CAL)]
+    assert got == [(PlanarPoint(*xy[i].tolist()), obs[i].pos, obs[i].rssi.hex(),
+                    rssi_to_distance(obs[i].rssi, CAL).hex()) for i in anchors]
+
+
+def test_select_reference_nodes_zero_dbm_ties_keep_the_first_sign():
+    # +0.0 and -0.0 are equally strong, so the first member is the anchor,
+    # with its own sign
+    obs = [obs_at(0, 0, -0.0, t=0), obs_at(10, 0, 0.0, t=1), obs_at(20, 0, 0.0, t=2),
+           obs_at(30, 0, -0.0, t=3)]
+    refs = select_reference_nodes(cluster_set((0, 2), (1, 3)), obs, *columns(obs), CAL)
+    assert [r.rssi.hex() for r in refs] == [(-0.0).hex(), (0.0).hex()]
+    assert [r.pos_geo for r in refs] == [obs[0].pos, obs[1].pos]

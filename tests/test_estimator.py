@@ -219,3 +219,23 @@ def test_reference_selection_sees_time_ordered_rows(monkeypatch):
         # the earlier row of each pair is its group's anchor
         anchors = {(r.pos_geo.lat, r.pos_geo.lon) for r in refs}
         assert anchors == {(rows[g, 2].pos.lat, rows[g, 2].pos.lon) for g in range(4)}
+
+
+@pytest.mark.parametrize("p0", [1e300, -1e300])
+def test_anchor_range_out_of_float_range_skips_instead_of_raising(p0):
+    # with this P0 every anchor's range overflows (+) or underflows to zero
+    # (-); each iteration that reaches reference selection is skipped with a
+    # reason naming the RSSI, and the stream runs on to its end
+    cal = Calibration(d0=100.0, p0_dbm=p0, n=2.0)
+    est = Estimator(config(ma=20.0, cal=cal, min_dbm=-46.0, r_thresh=1))
+    for o in simulate_observations(gtu_sim_scenario(seed=3), 1500.0):
+        est.ingest(o)
+    assert len(est.history) == 30
+    assert not any(r.ok for r in est.history)
+    ranged = [r.reason for r in est.history if "range" in r.reason]
+    assert ranged
+    assert all(reason.startswith("rssi -") and reason.endswith(
+        f"dBm inverts to range {'inf' if p0 > 0 else '0.0'} m, not a positive finite distance")
+        for reason in ranged)
+    with pytest.raises(NoEstimateError):
+        est.best_estimate()

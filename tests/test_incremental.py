@@ -242,6 +242,30 @@ def test_kmeans_pp_draw_matches_rng_choice(case):
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+# Scales whose squared distances are subnormal (1e-160 and 1e-156 m), meet
+# the pruning floor (1e-150 m), or span about 1e6 m, and a survey-sized one.
+scales = st.sampled_from([1e-160, 1e-156, 1e-152, 1e-150, 1e-148, 1e3, 1e6])
+unit = st.one_of(st.floats(-1.0, 1.0), grid.map(lambda v: v / 6.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scales, st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(unit, unit), min_size=n, max_size=n),
+    st.lists(st.tuples(unit, unit), min_size=1, max_size=min(n, 8)))))
+@example(1e-160, ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.5)] * 14,
+                  [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.5)]))
+@example(1e6, ([(-1.0, -1.0), (1.0, 1.0), (0.25, -0.5), (-0.75, 0.5)] * 17,
+               [(-1.0, -1.0), (1.0, 1.0), (0.25, -0.5), (-0.75, 0.5)]))
+def test_lloyd_matches_loop_at_subnormal_and_continental_scales(scale, case):
+    # squares that underflow to subnormals or zero, where only the floor
+    # keeps the pruning test exact, and spreads of about 1e6 m, where the
+    # relative margin must cover rounding of large distances and shifts
+    pts, centers = (scale * np.asarray(a, dtype=float) for a in case)
+    for bound in PATH_BOUNDS:
+        with kmeans_path(bound):
+            assert_same_lloyd(_lloyd(pts, centers.copy()), lloyd_oracle(pts, centers.copy()))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(coords, coords), min_size=1, max_size=40),
        st.tuples(coords, coords))
@@ -323,8 +347,9 @@ def test_first_strongest_reference_selection_matches_min_loop(case):
     times = np.cumsum([step for _, step in samples])
     obs = [Observation(t=float(t), pos=GeoPoint(40.8, 29.35), rssi=rssi)
            for (rssi, _), t in zip(samples, times)]
-    cs = ClusterSet(tuple(members for members in (
-        tuple(i for i, a in enumerate(assign) if a == g) for g in range(5)) if members))
+    labels = np.asarray(assign, dtype=np.intp)
+    counts = np.bincount(labels, minlength=5)
+    cs = ClusterSet(labels, counts, np.flatnonzero(counts))
     xy = np.arange(2.0 * len(obs)).reshape(-1, 2)
     rssi = np.array([o.rssi for o in obs])
     got = select_reference_nodes(cs, obs, xy, rssi, CAL)

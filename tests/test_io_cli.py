@@ -381,6 +381,29 @@ def test_cli_non_finite_p0_fails_before_any_iteration(tmp_path, capsys, value):
     assert not run.exists()
 
 
+@pytest.mark.parametrize("p0", ["1e300", "-1e300"])
+def test_cli_anchor_range_out_of_float_range_exits_1(tmp_path, capsys, p0):
+    # every anchor range overflows (+) or underflows to zero (-): estimate
+    # skips those iterations, writes its report and finds no estimate;
+    # baseline reports the first such RSSI
+    obs = tmp_path / "obs.csv"
+    run = tmp_path / "run.json"
+    assert run_cli(["simulate", "--seed", "3", "--duration", "1500", "--out", str(obs)]) == 0
+    capsys.readouterr()
+    assert run_cli(["estimate", "--obs", str(obs), "--ma", "20", "--min-rssi", "-46",
+                    "--r-thresh", "1", f"--p0={p0}", "--out", str(run)]) == 1
+    assert capsys.readouterr().err == "uavloc: error: no successful iterations in history\n"
+    report = json.loads(run.read_text())
+    assert report["best"] is None and len(report["iterations"]) == 30
+    reasons = [it["reason"] for it in report["iterations"]]
+    assert any(r.startswith("rssi ") and r.endswith("not a positive finite distance")
+               for r in reasons)
+    assert run_cli(["baseline", "--obs", str(obs), f"--p0={p0}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("uavloc: error: rssi ")
+    assert err.endswith("not a positive finite distance\n")
+
+
 @pytest.mark.parametrize("command", ["estimate", "sweep-ma"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_cli_non_finite_min_rssi_exits_before_any_work(tmp_path, capsys, command, value):

@@ -152,3 +152,12 @@ def test_calibration_validation():
         with pytest.raises(ValueError):
             Calibration(**{"d0": 100.0, "p0_dbm": -40.0, "n": 2.0, **bad})
 
+
+
+@pytest.mark.parametrize("p0, shown", [(1e300, "inf"), (-1e300, "0.0")])
+def test_inversion_out_of_float_range_names_the_rssi(p0, shown):
+    # a range that overflows, or underflows to zero, is no distance
+    cal = Calibration(d0=100.0, p0_dbm=p0, n=2.0)
+    with pytest.raises(ValueError) as e:
+        rssi_to_distance(-60.5, cal)
+    assert str(e.value) == f"rssi -60.5 dBm inverts to range {shown} m, not a positive finite distance"

@@ -174,17 +174,43 @@ SQUARE_SENSITIVE = SimScenario(
     target=GeoPoint(-40.444663756886825, -129.9360878533061), tx=TX, sigma_db=3.0, seed=1)
 
 
+# An off-path target 1 um from the first sample: Friis gives +114.8 dBm
+# there, past the +50 dBm bound, so both forms raise the same ValueError.
+TOO_CLOSE = SimScenario(
+    plan=FlightPlan(kind="loiter", center=GeoPoint(0.0, 0.0), speed=2.0, radius=20.0),
+    target=GeoPoint(8.993216059187304e-12, 0.00017986432118374611), tx=TX, sigma_db=0.0, seed=0)
+
+
+def outcome(simulate, sc, duration):
+    """The rows as hex, or the message of the ValueError raised."""
+    try:
+        return hex_rows(simulate(sc, duration))
+    except ValueError as e:
+        return str(e)
+
+
 @settings(max_examples=300, deadline=None)
 @given(scenarios())
 @example((gtu_sim_scenario(seed=5), 2464.0 * 1.5, False))
 @example((SQUARE_SENSITIVE, 271.4531906457933, False))
+@example((TOO_CLOSE, 0.5, False))
 def test_simulate_observations_matches_per_sample_loop(case):
     sc, duration, target_on_path = case
-    got = simulate_observations(sc, duration)
-    want = simulate_oracle(sc, duration)
-    assert hex_rows(got) == hex_rows(want)
-    if target_on_path:
+    got = outcome(simulate_observations, sc, duration)
+    assert got == outcome(simulate_oracle, sc, duration)
+    if target_on_path and not isinstance(got, str):
         assert len(got) < max(1, int(math.floor(duration / SAMPLE_PERIOD_S)))
+
+
+def test_simulated_rows_hold_python_floats():
+    # the columns reach the rows as Python floats, which logs format as such
+    for o in simulate_observations(gtu_sim_scenario(seed=1), 30.0):
+        assert {type(v) for v in (o.t, o.pos.lat, o.pos.lon, o.rssi)} == {float}
+
+
+def test_too_close_target_raises_the_rssi_bound():
+    with pytest.raises(ValueError, match=r"rssi 114\.78\d* dBm outside \[-200, 50\]"):
+        simulate_observations(TOO_CLOSE, 0.5)
 
 
 def test_survey_past_the_pole_raises_as_the_per_sample_loop():
