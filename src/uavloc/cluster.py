@@ -24,14 +24,18 @@ LLOYD_FLOOR_M = 1e-150
 # unpruned. On small windows numpy's fixed cost per call outweighs the
 # arithmetic the dense forms add; measured on estimator windows, the dense
 # init + Lloyd is faster up to about 100 points and slower from 150 on. At 64
-# the matrix stays within 32 KB.
+# the matrix stays within 32 KB. End to end, gtu-accept runs 1.11x slower per
+# log without this rule (in-process, benchmark seed set 1, every iteration
+# history bit-identical).
 KMEANS_DENSE_MAX_N = 64
 # Lloyd also runs dense, on any n, with at most this many centres: a full row
 # is then so short that the pruning bookkeeping costs as much as the distances
 # it saves, or more. Dense / pruned Lloyd time from k-means++ centres on 35
 # gtu-sim and loiter estimator windows of more than 64 points (2 vCPUs,
 # Python 3.11, numpy 2.4): k=2 0.80, k=3 0.99, k=4 1.03, k=5 1.05, k=8 1.30;
-# on the loiter survey's own k=3 windows, 0.76.
+# on the loiter survey's own k=3 windows, 0.76. End to end (in-process,
+# benchmark seed set 1), loiter runs 1.12x slower per log without this rule,
+# and gtu-default 1.56x slower with Lloyd dense everywhere, unpruned.
 LLOYD_DENSE_MAX_K = 3
 # Squared-chord slack of the survey-diameter pruning, on the unit sphere
 # (at least 0.16 um on the ground; see SurveyDiameter).
@@ -65,9 +69,9 @@ def rejected(t, lat, lon, rssi):
 
 def observations(t, lat, lon, rssi) -> list:
     """`Observation(t[i], GeoPoint(lat[i], lon[i]), rssi[i])` for every row of
-    four columns, built without a constructor call per row. Each column is a
-    list of floats or a 1-D float array; an array's values are stored as
-    Python floats (its `tolist`), a list's as its own float objects.
+    four columns, built without a constructor call per row. Each column is
+    any 1-D float sequence, a list or an array; the rows store its values as
+    Python floats (`np.asarray(...).tolist()`).
 
     The columns are screened first (`rejected`), and the first row flagged
     goes through the constructors, so the ValueError raised is theirs.
@@ -75,9 +79,9 @@ def observations(t, lat, lon, rssi) -> list:
     directly: a slot's descriptor sets it past the frozen dataclass's
     __setattr__, one C-level map per field.
     """
-    flagged = np.flatnonzero(rejected(*map(np.asarray, (t, lat, lon, rssi))))
-    t, lat, lon, rssi = (c.tolist() if isinstance(c, np.ndarray) else c
-                         for c in (t, lat, lon, rssi))
+    cols = [np.asarray(c) for c in (t, lat, lon, rssi)]
+    flagged = np.flatnonzero(rejected(*cols))
+    t, lat, lon, rssi = (c.tolist() for c in cols)
     for i in flagged[:1]:
         Observation(t[i], GeoPoint(lat[i], lon[i]), rssi[i])  # raises
     pos, rows = (list(map(object.__new__, [cls] * len(t))) for cls in (GeoPoint, Observation))
@@ -221,7 +225,8 @@ def compute_k(obs, ma: float, diameter: SurveyDiameter | None = None) -> int:
     if diameter is None:
         diameter = SurveyDiameter()
     d_max = diameter.update(obs)
-    return max(1, min(len(obs), math.ceil(d_max / ma)))
+    # an ma small enough makes the quotient inf, which has no ceiling
+    return max(1, math.ceil(min(d_max / ma, len(obs))))
 
 
 def _columns(pts: np.ndarray):
@@ -389,8 +394,8 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray):
 def kmeans(pts: np.ndarray, k: int, seed: int) -> ClusterSet:
     """Deterministic K-means over (n, 2) planar points (k-means++ init, Lloyd).
 
-    Returns row i's cluster id as labels[i], in the narrowest unsigned type
-    that holds k - 1, each cluster's size, and every non-empty cluster kept.
+    Returns row i's cluster id as labels[i], each cluster's size, and every
+    non-empty cluster kept.
     """
     n = len(pts)
     if not 1 <= k <= n:
@@ -398,15 +403,25 @@ def kmeans(pts: np.ndarray, k: int, seed: int) -> ClusterSet:
     rng = np.random.default_rng(seed)
     _, labels, _ = _lloyd(pts, _kmeans_pp_init(pts, k, rng))
     counts = np.bincount(labels, minlength=k)
-    # the narrowest unsigned labels: numpy's stable argsort of 8- and 16-bit
-    # integers is a radix sort (2 400 labels in 20 clusters: 15 us, against
-    # 72 us as intp; 2 vCPUs, numpy 2.4)
-    return ClusterSet(labels.astype(np.min_scalar_type(k - 1)), counts, np.flatnonzero(counts))
+    return ClusterSet(labels, counts, np.flatnonzero(counts))
 
 
 def filter_clusters(cs: ClusterSet, r_thresh: int) -> ClusterSet:
     """Keep the kept clusters with strictly more than r_thresh members."""
     return ClusterSet(cs.labels, cs.counts, cs.ids[cs.counts[cs.ids] > r_thresh])
+
+
+def reference_nodes(obs, rows, xy: np.ndarray, cal: Calibration) -> list:
+    """A ReferenceNode for each row index in rows, in that order: the row's
+    planar point xy[i], obs[i]'s position and RSSI, and the range the RSSI
+    inverts to.
+
+    Raises ValueError when that range is not a positive finite float (see
+    `rssi_to_distance`).
+    """
+    return [ReferenceNode(PlanarPoint(px, py), obs[i].pos, obs[i].rssi,
+                          rssi_to_distance(obs[i].rssi, cal))
+            for i, (px, py) in zip(rows, xy[rows].tolist())]
 
 
 def select_reference_nodes(cs: ClusterSet, obs, xy: np.ndarray, rssi: np.ndarray,
@@ -416,29 +431,18 @@ def select_reference_nodes(cs: ClusterSet, obs, xy: np.ndarray, rssi: np.ndarray
 
     Row i of the xy and rssi columns belongs to obs[i]; xy holds the planar
     projections the clustering ran on. Rows must be in time order (t never
-    decreasing), as the estimator keeps them. One stable argsort by label
-    lists each cluster's members as one ascending segment; a segment maximum
-    gives each cluster's strongest RSSI, and the first member that equals it
-    is the anchor. So among equally strong members the first is the
-    earliest, and on equal timestamps the first in row order.
+    decreasing), as the estimator keeps them. `np.maximum.at` by label gives
+    each cluster's strongest RSSI, and `np.minimum.at` over the rows that
+    equal it gives the first of them, with no sort. So among equally strong
+    members the anchor is the earliest, and on equal timestamps the first in
+    row order; +0.0 and -0.0 compare equal, so either sign matches.
 
     Raises ValueError when an anchor's RSSI inverts to a range that is not a
     positive finite float (see `rssi_to_distance`).
     """
-    order = np.argsort(cs.labels, kind="stable")
-    r = rssi[order]
-    starts = np.cumsum(cs.counts) - cs.counts
-    full = cs.counts > 0
-    top = np.maximum.reduceat(r, starts[full])
-    hits = np.flatnonzero(r == np.repeat(top, cs.counts[full]))
-    rows = order[hits[hits.searchsorted(starts[cs.ids])]].tolist()
-    refs = []
-    for i, (px, py) in zip(rows, xy[rows].tolist()):
-        o = obs[i]
-        refs.append(ReferenceNode(
-            pos_planar=PlanarPoint(px, py),
-            pos_geo=o.pos,
-            rssi=o.rssi,
-            distance=rssi_to_distance(o.rssi, cal),
-        ))
-    return refs
+    top = np.full(len(cs.counts), -np.inf)
+    np.maximum.at(top, cs.labels, rssi)
+    hits = np.flatnonzero(rssi == top[cs.labels])
+    first = np.full(len(cs.counts), len(rssi))
+    np.minimum.at(first, cs.labels[hits], hits)
+    return reference_nodes(obs, first[cs.ids].tolist(), xy, cal)

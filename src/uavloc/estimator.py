@@ -23,6 +23,7 @@ needs no timestamp column.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,8 @@ class EstimatorConfig:
     """Tuning knobs for the iterative estimator.
 
     r_thresh is either a fixed integer or the string "iteration", in which
-    case the minimum cluster size grows with the iteration index.
+    case the minimum cluster size grows with the iteration index. batch_size,
+    seed and an integer r_thresh must be integers, and not bools.
     """
 
     ma: float
@@ -55,11 +57,15 @@ class EstimatorConfig:
     def __post_init__(self):
         if not self.ma > 0:
             raise ValueError(f"ma must be positive, got {self.ma}")
+        for name in ("batch_size", "seed"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if math.isnan(self.min_dbm):
             raise ValueError("min_dbm must not be nan")
-        if self.r_thresh != R_THRESH_ITERATION and (
+        if self.r_thresh != R_THRESH_ITERATION and (isinstance(self.r_thresh, bool) or
                 not isinstance(self.r_thresh, int) or self.r_thresh < 0):
             raise ValueError(f"r_thresh must be 'iteration' or a non-negative int, "
                              f"got {self.r_thresh!r}")

@@ -153,7 +153,7 @@ def _rows(fields, linenos) -> list:
     a timestamp below the previous row's. A row's own value error beats its
     timestamp going backwards."""
     try:
-        vals = list(map(float, fields))
+        cols = np.array(list(map(float, fields))).reshape(-1, 4).T  # t, lat, lon, rssi
     except ValueError:
         for j, lineno in enumerate(linenos):
             parts = fields[4 * j:4 * j + 4]
@@ -163,14 +163,12 @@ def _rows(fields, linenos) -> list:
                 _rows(fields[:4 * j], linenos[:j])
                 raise LogFormatError(f"non-numeric field in {','.join(parts)!r}", line=lineno)
     fields.clear()  # free the strings before the rows are built
-    cols = [vals[k::4] for k in range(4)]  # the rows share these floats
-    t = np.array(cols[0])
     # the first row whose timestamp goes backwards, or the row count
-    b = min(np.flatnonzero(t[1:] < t[:-1]) + 1, default=len(t))
+    b = min(np.flatnonzero(cols[0, 1:] < cols[0, :-1]) + 1, default=len(linenos))
     try:
-        rows = observations(*(c[:b + 1] for c in cols))
+        rows = observations(*cols[:, :b + 1])
     except ValueError as e:
-        raise LogFormatError(str(e), line=linenos[int(rejected(*map(np.array, cols)).argmax())])
+        raise LogFormatError(str(e), line=linenos[int(rejected(*cols).argmax())])
     if b < len(linenos):
         raise LogFormatError(f"timestamp {rows[b].t} precedes previous row", line=linenos[b])
     return rows
@@ -197,32 +195,30 @@ def _parse_latlon(text: str) -> GeoPoint:
         raise argparse.ArgumentTypeError(f"expected 'lat,lon': {e}")
 
 
-def _positive(text: str) -> float:
-    v = float(text)
-    if not 0 < v < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {v}")
+def _number(text: str, cast, ok, must: str):
+    """cast(text), or an ArgumentTypeError saying it `must` be so when ok
+    rejects it. Each flag type calls this from a function of its own, whose
+    name argparse quotes when cast itself fails."""
+    v = cast(text)
+    if not ok(v):
+        raise argparse.ArgumentTypeError(f"must be {must}, got {v}")
     return v
+
+
+def _positive(text: str) -> float:
+    return _number(text, float, lambda v: 0 < v < math.inf, "positive and finite")
 
 
 def _finite(text: str) -> float:
-    v = float(text)
-    if not math.isfinite(v):
-        raise argparse.ArgumentTypeError(f"must be finite, got {v}")
-    return v
+    return _number(text, float, math.isfinite, "finite")
 
 
 def _positive_int(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {v}")
-    return v
+    return _number(text, int, lambda v: v >= 1, "a positive integer")
 
 
 def _non_negative(text: str) -> float:
-    v = float(text)
-    if not 0 <= v < math.inf:
-        raise argparse.ArgumentTypeError(f"must be non-negative and finite, got {v}")
-    return v
+    return _number(text, float, lambda v: 0 <= v < math.inf, "non-negative and finite")
 
 
 def _r_thresh(text: str):

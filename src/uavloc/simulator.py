@@ -28,13 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import ReferenceNode, observations
+from .cluster import observations, reference_nodes
 from .errors import NoEstimateError
 from .estimator import Estimator, EstimatorConfig
 from .geo import (GeoPoint, PlanarPoint, haversine, haversine_columns, libm, project,
                   unproject, unproject_columns)
 from .lateration import estimate_position
-from .pathloss import Calibration, TxParams, rssi_to_distance, sample_shadowed_rssi
+from .pathloss import Calibration, TxParams, sample_shadowed_rssi
 
 log = logging.getLogger(__name__)
 
@@ -146,11 +146,8 @@ def evaluate(estimate: GeoPoint, truth: GeoPoint) -> float:
 
 def run_baseline_svd(obs, cal: Calibration, origin: GeoPoint) -> GeoPoint:
     """Plain-SVD baseline: every observation becomes a reference node."""
-    x, y = project(origin, [o.pos.lat for o in obs], [o.pos.lon for o in obs])
-    refs = [ReferenceNode(pos_planar=PlanarPoint(px, py), pos_geo=o.pos,
-                          rssi=o.rssi, distance=rssi_to_distance(o.rssi, cal))
-            for o, px, py in zip(obs, x.tolist(), y.tolist())]
-    estimate, _, _ = estimate_position(refs, origin)
+    xy = np.column_stack(project(origin, [o.pos.lat for o in obs], [o.pos.lon for o in obs]))
+    estimate, _, _ = estimate_position(reference_nodes(obs, range(len(obs)), xy, cal), origin)
     return estimate
 
 

@@ -70,6 +70,14 @@ def test_compute_k_clamped_to_n():
     assert compute_k(obs, ma=10.0) == 2
 
 
+@pytest.mark.parametrize("ma", [1e-310, 5e-324])
+def test_compute_k_tiny_ma_is_clamped_to_n(ma):
+    # d_max / ma overflows to inf, which math.ceil cannot take
+    obs = [obs_at(0, 0, -50.0), obs_at(0, 5000, -50.0), obs_at(0, 10, -50.0)]
+    assert compute_k(obs, ma=ma) == 3
+    assert compute_k([obs_at(0, 0, -50.0)] * 4, ma=ma) == 1
+
+
 def test_compute_k_monotone():
     rng = np.random.default_rng(3)
     obs = [obs_at(rng.uniform(0, 2000), rng.uniform(0, 2000), -50.0) for _ in range(40)]
@@ -205,11 +213,12 @@ def built_one_by_one(t, lat, lon, rssi):
 
 
 @settings(max_examples=500, deadline=None)
-@given(row_columns())
-def test_observations_screen_rejects_exactly_what_the_constructors_reject(cols):
+@given(row_columns(), st.tuples(*[st.sampled_from([list, np.array])] * 4))
+def test_observations_screen_rejects_exactly_what_the_constructors_reject(cols, kinds):
+    # each column is passed as a list of floats or as a float array
     want = built_one_by_one(*cols)
     try:
-        got = observations(*cols)
+        got = observations(*(kind(c) for kind, c in zip(kinds, cols)))
     except ValueError as e:
         got = str(e)
     assert type(got) is type(want) and got == want
@@ -232,18 +241,19 @@ def labellings(draw):
     labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     rssi = draw(st.lists(anchor_rssi, min_size=n, max_size=n))
     return (np.asarray(labels, dtype=np.intp), k, rssi,
-            draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+            draw(st.integers(0, 5)), draw(st.integers(0, 5)),
+            draw(st.sampled_from([np.uint8, np.uint16, np.intp])))
 
 
 @settings(max_examples=500, deadline=None)
 @given(labellings())
 def test_cluster_views_and_anchors_match_member_loops(case):
-    # kmeans's ClusterSet from labels (in the narrow type it stores them
-    # in), its tuple view, two size filters and the anchors, against
-    # per-cluster loops over member tuples
-    labels, k, rssi, r1, r2 = case
+    # kmeans's ClusterSet from labels (intp, as kmeans stores them, or a
+    # narrower unsigned type), its tuple view, two size filters and the
+    # anchors, against per-cluster loops over member tuples
+    labels, k, rssi, r1, r2, dtype = case
     counts = np.bincount(labels, minlength=k)
-    cs = ClusterSet(labels.astype(np.uint8), counts, np.flatnonzero(counts))
+    cs = ClusterSet(labels.astype(dtype), counts, np.flatnonzero(counts))
     members = [tuple(i for i, c in enumerate(labels.tolist()) if c == cid) for cid in range(k)]
     assert cs.clusters == tuple(m for m in members if m)
     kept = filter_clusters(filter_clusters(cs, r1), r2)

@@ -152,6 +152,16 @@ def test_config_validation():
     assert config(r_thresh=2).r_thresh_for(7) == 2
 
 
+@pytest.mark.parametrize("field, value", [("seed", 1.5), ("batch_size", 2.5),
+                                          ("batch_size", True), ("r_thresh", True)])
+def test_config_rejects_non_integers_and_bools(field, value):
+    # each would otherwise run: seed=1.5 until _iteration_seed raises a
+    # TypeError mid-stream, batch_size=2.5 every 5 rows, True as 1
+    with pytest.raises(ValueError, match=field):
+        config(**{field: value})
+    assert config(seed=np.int64(3), batch_size=np.int32(5)).batch_size == 5
+
+
 def test_far_sample_mid_stream_skips_instead_of_raising():
     sc = gtu_sim_scenario(seed=7, sigma_db=3.0)
     obs = simulate_observations(sc, 600.0)

@@ -442,6 +442,40 @@ def test_cli_non_positive_batch_is_a_usage_error(tmp_path, capsys, command, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--ma", "abc", "invalid _positive value: 'abc'"),
+    ("--min-rssi", "x", "invalid _finite value: 'x'"),
+    ("--batch", "2.5", "invalid _positive_int value: '2.5'"),
+    ("--sigma", "x", "invalid _non_negative value: 'x'"),
+])
+def test_cli_number_flag_that_does_not_parse_names_its_type(capsys, flag, value, message):
+    # argparse quotes the type function's name; the range messages are
+    # pinned by the tests above
+    command = ["simulate", "--out", "x.csv"] if flag == "--sigma" else ["estimate", "--obs", "x"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command + [f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
+
+
+def test_cli_tiny_ma_skips_instead_of_overflowing(tmp_path, capsys):
+    # ma = 1e-310 asks for an infinite cluster count, clamped to the window:
+    # every cluster is a singleton, so the iteration r-thresh drops them all
+    obs = tmp_path / "obs.csv"
+    run = tmp_path / "run.json"
+    assert run_cli(["simulate", "--duration", "300", "--out", str(obs)]) == 0
+    assert run_cli(["estimate", "--obs", str(obs), "--ma", "1e-310", "--out", str(run)]) == 1
+    report = json.loads(run.read_text())
+    assert report["best"] is None
+    assert [it["reason"] for it in report["iterations"]] == [
+        "only 0 clusters survive size filter"] * 6
+    assert run_cli(["estimate", "--obs", str(obs), "--ma", "1e-310", "--r-thresh", "0"]) == 0
+    capsys.readouterr()
+    assert run_cli(["sweep-ma", "--obs", str(obs), "--ma-values", "1e-310,130"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["ma_m,error_m", "1e-310,failed"] and len(lines) == 3
+
+
 def test_parse_simulate_and_estimate_leave_no_reference_cycles(tmp_path):
     # objects in a reference cycle outlive their last use until the cyclic
     # collector runs, so a parse that left its lines and fields in one would
