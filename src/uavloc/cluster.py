@@ -110,10 +110,7 @@ class ClusterSet:
     def clusters(self) -> tuple:
         """One ascending tuple of member rows per kept cluster, in id order:
         a view derived from the labels, not used by the estimator."""
-        order = np.argsort(self.labels, kind="stable").tolist()
-        ends = np.cumsum(self.counts)[self.ids].tolist()
-        return tuple(tuple(order[end - c:end])
-                     for end, c in zip(ends, self.counts[self.ids].tolist()))
+        return tuple(tuple(np.flatnonzero(self.labels == c).tolist()) for c in self.ids)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cluster as cl
-from .errors import (DegenerateGeometryError, InsufficientReferencesError,
-                     NoEstimateError, ObservationOrderError)
+from .errors import DegenerateGeometryError, NoEstimateError, ObservationOrderError
 from .geo import GeoPoint, project
 from .lateration import estimate_position
 from .pathloss import Calibration
@@ -43,8 +42,11 @@ class EstimatorConfig:
     """Tuning knobs for the iterative estimator.
 
     r_thresh is either a fixed integer or the string "iteration", in which
-    case the minimum cluster size grows with the iteration index. batch_size,
-    seed and an integer r_thresh must be integers, and not bools.
+    case the minimum cluster size grows with the iteration index. Every field
+    is checked here, so that a run that starts never fails on its config: ma
+    is a positive finite real, cal a Calibration, min_dbm a real that is not
+    nan (either infinity is allowed), and batch_size, seed and an integer
+    r_thresh are integers. No field may be a bool.
     """
 
     ma: float
@@ -55,20 +57,23 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.ma > 0:
-            raise ValueError(f"ma must be positive, got {self.ma}")
-        for name in ("batch_size", "seed"):
+        def integer(v):
+            return isinstance(v, numbers.Integral)
+
+        def real(v):
+            return isinstance(v, numbers.Real)
+
+        for name, ok, must in (
+                ("ma", lambda v: real(v) and 0 < v < math.inf, "positive and finite"),
+                ("cal", lambda v: isinstance(v, Calibration), "a Calibration"),
+                ("batch_size", lambda v: integer(v) and v >= 1, "an integer >= 1"),
+                ("min_dbm", lambda v: real(v) and not math.isnan(v), "a real, not nan"),
+                ("r_thresh", lambda v: v == R_THRESH_ITERATION or integer(v) and v >= 0,
+                 "'iteration' or an integer >= 0"),
+                ("seed", integer, "an integer")):
             v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if math.isnan(self.min_dbm):
-            raise ValueError("min_dbm must not be nan")
-        if self.r_thresh != R_THRESH_ITERATION and (isinstance(self.r_thresh, bool) or
-                not isinstance(self.r_thresh, int) or self.r_thresh < 0):
-            raise ValueError(f"r_thresh must be 'iteration' or a non-negative int, "
-                             f"got {self.r_thresh!r}")
+            if isinstance(v, bool) or not ok(v):
+                raise ValueError(f"{name} must be {must}, got {v!r}")
 
     def r_thresh_for(self, index: int) -> int:
         return index if self.r_thresh == R_THRESH_ITERATION else self.r_thresh
@@ -164,7 +169,7 @@ class Estimator:
             return skipped(str(e))
         try:
             estimate, residual_rms, condition = estimate_position(refs, self.origin)
-        except (InsufficientReferencesError, DegenerateGeometryError) as e:
+        except DegenerateGeometryError as e:
             return skipped(str(e))
         return IterationResult(index=index, n_obs=n_obs, n_clusters_used=len(refs),
                                estimate=estimate, residual_rms=residual_rms,

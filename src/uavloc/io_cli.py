@@ -224,13 +224,7 @@ def _non_negative(text: str) -> float:
 def _r_thresh(text: str):
     if text == R_THRESH_ITERATION:
         return text
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected integer or 'iteration', got {text!r}")
-    if v < 0:
-        raise argparse.ArgumentTypeError("r-thresh must be >= 0")
-    return v
+    return _number(text, int, lambda v: v >= 0, "a non-negative integer")
 
 
 def _ma_list(text: str):
@@ -241,9 +235,11 @@ def _ma_list(text: str):
 
 
 def _log_command(sub, name: str, func, help: str):
-    """A subcommand that reads the observation log given by `--obs`."""
+    """A subcommand that reads the observation log given by `--obs` and
+    writes its output to `--out`, when given."""
     p = sub.add_parser(name, help=help)
     p.add_argument("--obs", required=True)
+    p.add_argument("--out")
     p.set_defaults(func=func)
     return p
 
@@ -259,7 +255,8 @@ def _add_run_flags(p):
     """Estimator and scoring flags shared by `estimate` and `sweep-ma`."""
     p.add_argument("--batch", type=_positive_int, default=50)
     p.add_argument("--min-rssi", type=_finite)
-    p.add_argument("--r-thresh", type=_r_thresh, default=R_THRESH_ITERATION)
+    p.add_argument("--r-thresh", type=_r_thresh, default=R_THRESH_ITERATION,
+                   help="drop clusters of at most this many rows: an int >= 0 or 'iteration'")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--truth", type=_parse_latlon)
 
@@ -316,8 +313,7 @@ def _summary(label: str, block: dict) -> str:
 
 
 def cmd_simulate(args) -> int:
-    sc = SCENARIOS[args.scenario](seed=args.seed,
-                                  sigma_db=args.sigma if args.sigma is not None else 3.0)
+    sc = SCENARIOS[args.scenario](seed=args.seed, sigma_db=args.sigma)
     duration = args.duration if args.duration else sc.plan.path_length() / sc.plan.speed
     obs = simulate_observations(sc, duration)
     cal = calibration_from_tx(sc.tx, d0=100.0, sigma_db=sc.sigma_db)
@@ -397,7 +393,7 @@ def cmd_calibrate(args) -> int:
     log = parse_log(args.obs)
     samples = [(haversine(o.pos, args.truth), o.rssi) for o in log.rows]
     samples = [(d, pr) for d, pr in samples if d > 0]
-    cal = fit_exponent(samples, d0=args.d0 if args.d0 is not None else 100.0)
+    cal = fit_exponent(samples, d0=args.d0)
     line = _cal_line(cal)
     if args.out:
         _write_text(args.out, line + "\n")
@@ -413,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic observation log")
     p.add_argument("--scenario", choices=sorted(SCENARIOS), default="gtu-sim")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma", type=_non_negative, help="shadowing std-dev (dB), default 3")
+    p.add_argument("--sigma", type=_non_negative, default=3.0,
+                   help="shadowing std-dev (dB), default 3")
     p.add_argument("--duration", type=_positive, help="seconds (default: full survey)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
@@ -421,19 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = _log_command(sub, "estimate", cmd_estimate, "run the clustered iterative estimator")
     p.add_argument("--ma", type=_positive, default=130.0)
     _add_run_flags(p)
-    p.add_argument("--out")
     _add_cal_flags(p)
 
     p = _log_command(sub, "baseline", cmd_baseline, "plain SVD over all observations")
     p.add_argument("--truth", type=_parse_latlon)
-    p.add_argument("--out")
     _add_cal_flags(p)
 
     p = _log_command(sub, "sweep-ma", cmd_sweep_ma, "best-estimate error per cluster granularity")
     p.add_argument("--ma-values", type=_ma_list,
                    default=[50.0, 70.0, 90.0, 110.0, 130.0, 150.0, 170.0, 190.0])
     _add_run_flags(p)
-    p.add_argument("--out")
     _add_cal_flags(p)
 
     p = sub.add_parser("evaluate", help="haversine distance between two points")
@@ -444,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _log_command(sub, "calibrate", cmd_calibrate, "fit the path-loss exponent from a log")
     p.add_argument("--truth", type=_parse_latlon, required=True,
                    help="known transmitter position")
-    p.add_argument("--d0", type=_positive, help="reference distance (m), default 100")
-    p.add_argument("--out")
+    p.add_argument("--d0", type=_positive, default=100.0,
+                   help="reference distance (m), default 100")
 
     return parser
 

@@ -1,15 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavloc import cluster
 from uavloc.cluster import Observation
 from uavloc.errors import NoEstimateError, ObservationOrderError
 from uavloc.estimator import Estimator, EstimatorConfig, IterationResult
 from uavloc.geo import GeoPoint, PlanarPoint, haversine, unproject
-from uavloc.pathloss import Calibration
-from uavloc.simulator import gtu_sim_scenario, simulate_observations
+from uavloc.pathloss import Calibration, calibration_from_tx
+from uavloc.simulator import gtu_sim_scenario, run_estimator, simulate_observations
 
 CAL = Calibration(d0=100.0, p0_dbm=-45.211, n=2.0)
 ORIGIN = GeoPoint(40.8081, 29.3560)
@@ -71,7 +74,6 @@ def test_identical_positions_skipped():
 def test_zero_noise_recovery():
     sc = gtu_sim_scenario(seed=3, sigma_db=0.0)
     obs = simulate_observations(sc, 900.0)
-    from uavloc.pathloss import calibration_from_tx
     est = Estimator(config(cal=calibration_from_tx(sc.tx, 100.0), seed=3))
     for o in obs:
         est.ingest(o)
@@ -153,13 +155,18 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [("seed", 1.5), ("batch_size", 2.5),
-                                          ("batch_size", True), ("r_thresh", True)])
+                                          ("batch_size", True), ("r_thresh", True),
+                                          ("cal", None), ("ma", math.inf), ("ma", True),
+                                          ("min_dbm", True)])
 def test_config_rejects_non_integers_and_bools(field, value):
     # each would otherwise run: seed=1.5 until _iteration_seed raises a
-    # TypeError mid-stream, batch_size=2.5 every 5 rows, True as 1
+    # TypeError mid-stream, batch_size=2.5 every 5 rows, True as 1, cal=None
+    # until the first anchor range raises an AttributeError mid-stream; ma=inf
+    # and ma=True skip every iteration, min_dbm=True is a 1 dBm floor
     with pytest.raises(ValueError, match=field):
         config(**{field: value})
     assert config(seed=np.int64(3), batch_size=np.int32(5)).batch_size == 5
+    assert config(r_thresh=np.int64(1)).r_thresh_for(7) == 1
 
 
 def test_far_sample_mid_stream_skips_instead_of_raising():
@@ -249,3 +256,33 @@ def test_anchor_range_out_of_float_range_skips_instead_of_raising(p0):
         for reason in ranged)
     with pytest.raises(NoEstimateError):
         est.best_estimate()
+
+
+SURVEY = gtu_sim_scenario(seed=2)
+SURVEY_ROWS = simulate_observations(SURVEY, 600.0)
+SURVEY_CAL = calibration_from_tx(SURVEY.tx, d0=100.0)
+
+
+def mostly(typical, extreme):
+    """Draws from typical about twice as often as from extreme, so that many
+    runs get past the threshold and the size filter to the anchor ranges and
+    the solve."""
+    return st.one_of(typical, typical, extreme)
+
+
+# few examples: a batch of 1 runs 600 iterations, the costliest draw
+@settings(max_examples=12, deadline=None)
+@given(ma=mostly(st.floats(10.0, 300.0), st.floats(1e-300, 1e300)),
+       batch_size=st.integers(1, 200),
+       min_dbm=mostly(st.floats(-75.0, -45.0), st.floats(allow_nan=False)),
+       r_thresh=st.one_of(st.integers(0, 3), st.just("iteration"), st.integers(min_value=0)),
+       seed=st.integers(),
+       p0_offset=st.one_of(st.floats(-5.0, 5.0), st.floats(-1e300, 1e300)))
+def test_every_config_that_constructs_runs_the_stream_to_its_end(ma, batch_size, min_dbm,
+                                                                 r_thresh, seed, p0_offset):
+    # failures inside an iteration become skipped results, never exceptions
+    cal = replace(SURVEY_CAL, p0_dbm=SURVEY_CAL.p0_dbm + p0_offset)
+    est = run_estimator(SURVEY_ROWS, config(ma=ma, cal=cal, batch_size=batch_size,
+                                            min_dbm=min_dbm, r_thresh=r_thresh, seed=seed))
+    assert [r.n_obs for r in est.history] == list(range(batch_size, 601, batch_size))
+    assert all(r.ok or r.reason for r in est.history)

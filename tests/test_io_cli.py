@@ -227,7 +227,13 @@ def log_texts(draw):
     # over half the logs are clean
     corrupt = draw(st.one_of(st.just("none"), st.sampled_from(CORRUPTIONS)))
     corrupt_row(draw, rows, fields, draw(st.integers(0, n - 1)), corrupt)
-    lines = draw(st.lists(meta_lines, max_size=4)) + [CSV_HEADER]
+    # over half the logs have the header; a log without one has no rows either
+    header = draw(st.one_of(st.just(CSV_HEADER), st.sampled_from(["t,lat,lon,rssi", None])))
+    lines = draw(st.lists(meta_lines, max_size=4))
+    if header is None:
+        fields = []
+    else:
+        lines.append(header)
     for row in fields:
         lines += draw(st.lists(meta_lines, max_size=2)) + [",".join(row)]
     lines += draw(st.lists(meta_lines, max_size=3))
@@ -447,6 +453,7 @@ def test_cli_non_positive_batch_is_a_usage_error(tmp_path, capsys, command, valu
     ("--min-rssi", "x", "invalid _finite value: 'x'"),
     ("--batch", "2.5", "invalid _positive_int value: '2.5'"),
     ("--sigma", "x", "invalid _non_negative value: 'x'"),
+    ("--r-thresh", "x", "invalid _r_thresh value: 'x'"),
 ])
 def test_cli_number_flag_that_does_not_parse_names_its_type(capsys, flag, value, message):
     # argparse quotes the type function's name; the range messages are
@@ -456,6 +463,40 @@ def test_cli_number_flag_that_does_not_parse_names_its_type(capsys, flag, value,
         run_cli(command + [f"{flag}={value}"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("estimate", "--r-thresh", "-1", "must be a non-negative integer, got -1"),
+    ("sweep-ma", "--ma-values", "50,abc", "expected comma-separated meters, got '50,abc'"),
+])
+def test_cli_flag_out_of_range_or_malformed_list_is_a_usage_error(capsys, command, flag,
+                                                                  value, message):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--obs", "x", f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
+
+
+def test_cli_log_without_cal_line_takes_calibration_from_flags(tmp_path, capsys):
+    # a flight log has no '# cal' line: --d0, --p0 and --n give the
+    # calibration, and the run matches the same log with that '# cal' line
+    with_cal, without_cal = tmp_path / "cal.csv", tmp_path / "nocal.csv"
+    assert run_cli(["simulate", "--seed", "5", "--duration", "600", "--out", str(with_cal)]) == 0
+    log = parse_log(str(with_cal))
+    cal, log.cal = log.cal, None
+    write_log(log, str(without_cal))
+    flags = ["--d0", repr(cal.d0), "--p0", repr(cal.p0_dbm), "--n", repr(cal.n),
+             "--sigma", repr(cal.sigma_db)]
+    reports = []
+    for obs, extra in ((with_cal, []), (without_cal, flags)):
+        out = tmp_path / f"{obs.stem}.json"
+        assert run_cli(["estimate", "--obs", str(obs), "--out", str(out)] + extra) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    capsys.readouterr()
+    assert run_cli(["baseline", "--obs", str(without_cal)] + flags[:4]) == 1
+    assert capsys.readouterr().err == ("uavloc: error: no calibration: log has no '# cal' "
+                                       "line and --d0/--p0/--n not all given\n")
 
 
 def test_cli_tiny_ma_skips_instead_of_overflowing(tmp_path, capsys):
@@ -522,9 +563,14 @@ def test_cli_baseline(tmp_path, capsys):
     run_cli(["simulate", "--seed", "2", "--sigma", "0", "--duration", "900",
              "--out", str(obs)])
     log = parse_log(str(obs))
-    assert run_cli(["baseline", "--obs", str(obs), "--truth", log.meta["target"]]) == 0
+    run = tmp_path / "run.json"
+    assert run_cli(["baseline", "--obs", str(obs), "--truth", log.meta["target"],
+                    "--out", str(run)]) == 0
     out = capsys.readouterr().out
     assert "baseline estimate" in out
+    report = read_report(str(run))
+    assert report.iterations == [] and report.config["cal"]["d0"] == 100.0
+    assert out.endswith(f"error {report.baseline['error_m']:.9g} m\n")
 
 
 def test_cli_calibrate(tmp_path, capsys):
@@ -533,10 +579,11 @@ def test_cli_calibrate(tmp_path, capsys):
              "--out", str(obs)])
     log = parse_log(str(obs))
     capsys.readouterr()
+    line = tmp_path / "cal.txt"
     assert run_cli(["calibrate", "--obs", str(obs), "--truth", log.meta["target"],
-                    "--d0", "100"]) == 0
+                    "--d0", "100", "--out", str(line)]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("# cal ")
+    assert out.startswith("# cal ") and line.read_text() == out
     # zero-noise free-space data: fitted exponent is 2 up to CSV rounding
     n = float(out.split("n=")[1].split()[0])
     assert abs(n - 2.0) < 1e-3
@@ -577,6 +624,14 @@ def test_cli_sweep_ma_rejects_non_positive_ma_before_any_work(tmp_path, capsys):
     assert exc.value.code == 2
     assert "must be positive" in capsys.readouterr().err
     assert not table.exists()
+
+
+def test_cli_sweep_ma_without_truth_exits_1(tmp_path, capsys):
+    obs = tmp_path / "obs.csv"
+    write_log(sample_log(), str(obs))
+    assert run_cli(["sweep-ma", "--obs", str(obs), "--ma-values", "50"]) == 1
+    assert capsys.readouterr().err == (
+        "uavloc: error: sweep-ma needs --truth (or a '# target' line in the log)\n")
 
 
 @pytest.mark.parametrize("target", ["40.8,abc", "95.0,29.35", "40.8"],
