@@ -83,11 +83,11 @@ class EstimatorConfig:
 class IterationResult:
     index: int
     n_obs: int
-    n_clusters_used: int
-    estimate: GeoPoint | None
-    residual_rms: float | None
-    condition: float | None
     status: str  # "ok" or "skipped"
+    n_clusters_used: int = 0
+    estimate: GeoPoint | None = None
+    residual_rms: float | None = None
+    condition: float | None = None
     reason: str | None = None
 
     @property
@@ -105,7 +105,6 @@ class Estimator:
         self.origin: GeoPoint | None = None
         # carried across iterations; observations[:_seen] are folded in
         self._seen = 0
-        self._batch_size = config.batch_size
         self._kept: list[cl.Observation] = []
         self._xy = np.empty((0, 2))  # planar positions of _kept
         self._rssi = np.empty(0)
@@ -119,7 +118,7 @@ class Estimator:
         elif o.t < obs[-1].t:
             raise ObservationOrderError(f"timestamp {o.t} precedes last observation {obs[-1].t}")
         obs.append(o)
-        if len(obs) % self._batch_size == 0:
+        if len(obs) % self.config.batch_size == 0:
             result = self.run_iteration()
             self.history.append(result)
             return result
@@ -128,11 +127,13 @@ class Estimator:
     def run_iteration(self) -> IterationResult:
         """Run one full pipeline pass over all observations so far.
 
-        Pipeline failures (too few clusters, degenerate geometry, a sample
-        beyond the projection range, an anchor RSSI whose range is not a
-        positive finite float) are reported as skipped results, never
-        raised. A sample that cannot be projected leaves the carried state
-        as it was, so every later iteration meets it again and skips too.
+        A ValueError or DegenerateGeometryError from any stage, from the
+        threshold through the solve, becomes a skipped result whose reason is
+        the error's text; it is never raised. That covers too few clusters,
+        degenerate geometry, a sample beyond the projection range and an
+        anchor RSSI whose range is not a positive finite float. The
+        projection raises before the carried state changes, so every later
+        iteration meets an unprojectable sample again and skips too.
         """
         if not self.observations:
             raise ValueError("no observations ingested")
@@ -141,39 +142,31 @@ class Estimator:
         n_obs = len(self.observations)
 
         def skipped(reason):
-            return IterationResult(index=index, n_obs=n_obs, n_clusters_used=0,
-                                   estimate=None, residual_rms=None, condition=None,
-                                   status="skipped", reason=reason)
+            return IterationResult(index=index, n_obs=n_obs, status="skipped", reason=reason)
 
-        new_kept = cl.threshold_rssi(self.observations[self._seen:], cfg.min_dbm)
-        if new_kept:
-            try:
+        try:
+            new_kept = cl.threshold_rssi(self.observations[self._seen:], cfg.min_dbm)
+            if new_kept:
                 x, y = project(self.origin, [o.pos.lat for o in new_kept],
                                [o.pos.lon for o in new_kept])
-            except ValueError as e:
-                return skipped(str(e))
-            self._kept += new_kept
-            self._xy = np.concatenate([self._xy, np.column_stack([x, y])])
-            self._rssi = np.concatenate([self._rssi, [o.rssi for o in new_kept]])
-        self._seen = n_obs
-        if not self._kept:
-            return skipped("no observations above rssi threshold")
-        k = cl.compute_k(self._kept, cfg.ma, self._diameter)
-        cs = cl.kmeans(self._xy, k, _iteration_seed(cfg.seed, index))
-        cs = cl.filter_clusters(cs, cfg.r_thresh_for(index))
-        if len(cs.ids) < 3:
-            return skipped(f"only {len(cs.ids)} clusters survive size filter")
-        try:
+                self._kept += new_kept
+                self._xy = np.concatenate([self._xy, np.column_stack([x, y])])
+                self._rssi = np.concatenate([self._rssi, [o.rssi for o in new_kept]])
+            self._seen = n_obs
+            if not self._kept:
+                return skipped("no observations above rssi threshold")
+            k = cl.compute_k(self._kept, cfg.ma, self._diameter)
+            cs = cl.kmeans(self._xy, k, _iteration_seed(cfg.seed, index))
+            cs = cl.filter_clusters(cs, cfg.r_thresh_for(index))
+            if len(cs.ids) < 3:
+                return skipped(f"only {len(cs.ids)} clusters survive size filter")
             refs = cl.select_reference_nodes(cs, self._kept, self._xy, self._rssi, cfg.cal)
-        except ValueError as e:
-            return skipped(str(e))
-        try:
             estimate, residual_rms, condition = estimate_position(refs, self.origin)
-        except DegenerateGeometryError as e:
+        except (ValueError, DegenerateGeometryError) as e:
             return skipped(str(e))
-        return IterationResult(index=index, n_obs=n_obs, n_clusters_used=len(refs),
+        return IterationResult(index=index, n_obs=n_obs, status="ok", n_clusters_used=len(refs),
                                estimate=estimate, residual_rms=residual_rms,
-                               condition=condition, status="ok")
+                               condition=condition)
 
     def best_estimate(self) -> tuple[GeoPoint, IterationResult]:
         """Estimate from the ok iteration with minimum residual (ties: earliest)."""

@@ -253,11 +253,11 @@ def _add_cal_flags(p):
 
 def _add_run_flags(p):
     """Estimator and scoring flags shared by `estimate` and `sweep-ma`."""
-    p.add_argument("--batch", type=_positive_int, default=50)
+    p.add_argument("--batch", type=_positive_int, default=EstimatorConfig.batch_size)
     p.add_argument("--min-rssi", type=_finite)
-    p.add_argument("--r-thresh", type=_r_thresh, default=R_THRESH_ITERATION,
+    p.add_argument("--r-thresh", type=_r_thresh, default=EstimatorConfig.r_thresh,
                    help="drop clusters of at most this many rows: an int >= 0 or 'iteration'")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=EstimatorConfig.seed)
     p.add_argument("--truth", type=_parse_latlon)
 
 

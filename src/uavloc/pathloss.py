@@ -118,7 +118,9 @@ def fit_exponent(samples, d0: float) -> Calibration:
     """Fit p0 and n from (distance_m, rssi_dbm) pairs by least squares.
 
     Regresses rssi = p0 - 10*n*log10(d/d0). Needs at least two samples at
-    two distinct distances. The returned sigma_db is the residual std-dev.
+    two distinct distances, and raises DegenerateFitError, naming d0, when
+    some d / d0 leaves float range. The returned sigma_db is the residual
+    std-dev.
     """
     if len(samples) < 2:
         raise DegenerateFitError(f"need >= 2 calibration samples, got {len(samples)}")
@@ -126,7 +128,10 @@ def fit_exponent(samples, d0: float) -> Calibration:
     pr = np.asarray([s[1] for s in samples], dtype=float)
     if np.any(d <= 0):
         raise ValueError("calibration distances must be positive")
-    logd = np.log10(d / d0)
+    with np.errstate(all="ignore"):  # d / d0 past float range: raised just below
+        logd = np.log10(d / d0)
+    if not np.isfinite(logd).all():
+        raise DegenerateFitError(f"log10(d / d0) is not finite for d0 = {d0} m")
     if np.ptp(logd) == 0.0:
         raise DegenerateFitError("all calibration samples at the same distance")
     # pr = p0 + (-10 n) * logd

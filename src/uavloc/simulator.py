@@ -49,6 +49,7 @@ class FlightPlan:
     kind "loiter": circle of `radius` meters (`turns` only informs
     default durations). kind "lawnmower": boustrophedon lanes covering a
     width x height box centered on `center`, lanes `spacing` meters apart.
+    Each kind's own fields must be positive and finite.
     """
 
     kind: str
@@ -64,11 +65,11 @@ class FlightPlan:
         if not 1.0 < self.speed <= 60.0:
             raise ValueError(f"speed {self.speed} m/s outside (1, 60]")
         if self.kind == "loiter":
-            if not self.radius > 0:
-                raise ValueError("loiter requires radius > 0")
+            if not (0 < self.radius < math.inf and 0 < self.turns < math.inf):
+                raise ValueError("loiter requires finite radius, turns > 0")
         elif self.kind == "lawnmower":
-            if not (self.width > 0 and self.height > 0 and self.spacing > 0):
-                raise ValueError("lawnmower requires width, height, spacing > 0")
+            if not all(0 < v < math.inf for v in (self.width, self.height, self.spacing)):
+                raise ValueError("lawnmower requires finite width, height, spacing > 0")
         else:
             raise ValueError(f"unknown plan kind {self.kind!r}")
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavloc.cluster import (ClusterSet, Observation, SurveyDiameter, _kmeans_pp_init,
-                            _lloyd, compute_k, filter_clusters, kmeans, observations,
-                            select_reference_nodes, threshold_rssi)
+from uavloc.cluster import (ClusterSet, Observation, ReferenceNode, SurveyDiameter,
+                            _kmeans_pp_init, _lloyd, compute_k, filter_clusters, kmeans,
+                            observations, select_reference_nodes, threshold_rssi)
 from uavloc.geo import GeoPoint, PlanarPoint, project, unproject
 from uavloc.pathloss import Calibration, rssi_to_distance
 
@@ -76,6 +76,15 @@ def test_compute_k_tiny_ma_is_clamped_to_n(ma):
     obs = [obs_at(0, 0, -50.0), obs_at(0, 5000, -50.0), obs_at(0, 10, -50.0)]
     assert compute_k(obs, ma=ma) == 3
     assert compute_k([obs_at(0, 0, -50.0)] * 4, ma=ma) == 1
+
+
+@pytest.mark.parametrize("obs, ma, match", [([], 130.0, "at least one observation"),
+                                             ([obs_at(0, 0, -50.0)], 0.0, "ma must be positive"),
+                                             ([obs_at(0, 0, -50.0)], -1.0, "ma must be positive"),
+                                             ([obs_at(0, 0, -50.0)], math.nan, "ma must be")])
+def test_compute_k_rejects_no_rows_and_non_positive_ma(obs, ma, match):
+    with pytest.raises(ValueError, match=match):
+        compute_k(obs, ma)
 
 
 def test_compute_k_monotone():
@@ -182,6 +191,10 @@ def test_observation_validation():
         Observation(t=0.0, pos=ORIGIN, rssi=60.0)
     with pytest.raises(ValueError):
         Observation(t=float("nan"), pos=ORIGIN, rssi=-60.0)
+    for distance in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="reference distance must be positive"):
+            ReferenceNode(pos_planar=PlanarPoint(0.0, 0.0), pos_geo=ORIGIN, rssi=-60.0,
+                          distance=distance)
 
 
 def edges(*bounds):

@@ -30,6 +30,8 @@ def obs_at(t, x, y, rssi):
 
 def test_no_iteration_before_batch_full():
     est = Estimator(config(batch_size=50))
+    with pytest.raises(ValueError, match="no observations ingested"):
+        est.run_iteration()
     for i in range(49):
         assert est.ingest(obs_at(i, i * 10.0, 0.0, -60.0)) is None
     assert est.history == []
@@ -256,6 +258,22 @@ def test_anchor_range_out_of_float_range_skips_instead_of_raising(p0):
         for reason in ranged)
     with pytest.raises(NoEstimateError):
         est.best_estimate()
+
+
+def test_value_error_from_any_stage_skips_the_iteration(monkeypatch):
+    # one handler covers the whole pipeline, k-means included: each
+    # iteration is skipped with the error's text and the stream runs on
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cluster, "kmeans", boom)
+    est = Estimator(config(batch_size=10))
+    for i in range(100):
+        est.ingest(obs_at(i, i * 5.0, (i % 9) * 20.0, -60.0))
+    assert [(r.index, r.n_obs) for r in est.history] == [(i, 10 * i) for i in range(1, 11)]
+    assert all(r.status == "skipped" and r.reason == "boom" for r in est.history)
+    assert est.history[0] == IterationResult(index=1, n_obs=10, status="skipped",
+                                             reason="boom")
 
 
 SURVEY = gtu_sim_scenario(seed=2)

@@ -16,6 +16,9 @@ def test_geopoint_bounds():
         GeoPoint(0.0, 181.0)
     with pytest.raises(ValueError):
         GeoPoint(float("nan"), 0.0)
+    for x, y in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="non-finite planar point"):
+            PlanarPoint(x, y)
 
 
 def test_haversine_identity():

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -587,6 +588,24 @@ def test_cli_calibrate(tmp_path, capsys):
     # zero-noise free-space data: fitted exponent is 2 up to CSV rounding
     n = float(out.split("n=")[1].split()[0])
     assert abs(n - 2.0) < 1e-3
+
+
+def test_cli_calibrate_overflowing_d0_exits_1_and_names_it(tmp_path, capfd):
+    # 100 m / 1e-320 m overflows: the fit stops before lstsq, whose LAPACK
+    # call would print DLASCL lines on its non-finite input
+    obs = tmp_path / "obs.csv"
+    run_cli(["simulate", "--seed", "1", "--sigma", "0", "--duration", "600",
+             "--out", str(obs)])
+    target = parse_log(str(obs)).meta["target"]
+    capfd.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["calibrate", "--obs", str(obs), "--truth", target,
+                        "--d0", "1e-320"]) == 1
+    out, err = capfd.readouterr()
+    assert out == "" and err == "uavloc: error: log10(d / d0) is not finite for d0 = 1e-320 m\n"
+    assert "DLASCL" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_cli_sweep_ma(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +139,14 @@ def test_fit_exponent_degenerate():
         fit_exponent([(100.0, -45.0), (100.0, -46.0)], d0=100.0)
     with pytest.raises(DegenerateFitError):
         fit_exponent([(100.0, -45.0)], d0=100.0)
+    with pytest.raises(ValueError, match="distances must be positive"):
+        fit_exponent([(0.0, -45.0), (100.0, -46.0)], d0=100.0)
+    # d / d0 overflows (tiny d0) or underflows to zero (huge d0): no finite log
+    for d0 in (1e-320, 1e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateFitError, match=re.escape(f"d0 = {d0} m")):
+                fit_exponent([(1e-20, -45.0), (100.0, -46.0)], d0=d0)
 
 
 def test_calibration_validation():
@@ -151,6 +161,11 @@ def test_calibration_validation():
                 {"d0": math.nan}):
         with pytest.raises(ValueError):
             Calibration(**{"d0": 100.0, "p0_dbm": -40.0, "n": 2.0, **bad})
+    for bad in ({"wavelength_m": 0.0}, {"wavelength_m": -0.69}, {"wavelength_m": math.nan},
+                {"pt_dbm": math.inf}, {"gt_db": math.nan}, {"gr_db": -math.inf}):
+        with pytest.raises(ValueError, match="wavelength|link parameter"):
+            TxParams(**{"pt_dbm": 20.0, "gt_db": 0.0, "gr_db": 0.0, "wavelength_m": 0.69,
+                        **bad})
 
 
 

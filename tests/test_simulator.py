@@ -67,6 +67,22 @@ def test_trajectory_rejects_bad_args():
         FlightPlan(kind="zigzag", center=CENTER, speed=20.0)
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    ("loiter", "radius", 0.0), ("loiter", "radius", -300.0), ("loiter", "radius", math.inf),
+    ("loiter", "radius", math.nan), ("loiter", "turns", 0.0), ("loiter", "turns", -1.0),
+    ("loiter", "turns", math.inf), ("loiter", "turns", math.nan),
+    ("lawnmower", "width", math.inf), ("lawnmower", "height", math.inf),
+    ("lawnmower", "spacing", math.inf), ("lawnmower", "spacing", -100.0),
+    ("lawnmower", "height", math.nan)])
+def test_flight_plan_rejects_non_finite_or_non_positive_geometry(kind, field, value):
+    # each would construct and go wrong later: an infinite width or height
+    # overflows int() in path_length, an infinite spacing flies two lanes, and
+    # a negative or nan turns count gives a negative or nan path length
+    plan = loiter() if kind == "loiter" else lawnmower()
+    with pytest.raises(ValueError, match=f"{kind} requires finite .*{field}"):
+        dataclasses.replace(plan, **{field: value})
+
+
 def test_observation_cadence():
     sc = SimScenario(plan=loiter(), target=GeoPoint(40.8100, 29.3600), tx=TX,
                      sigma_db=0.0, seed=0)
