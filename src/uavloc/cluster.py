@@ -226,11 +226,6 @@ def compute_k(obs, ma: float, diameter: SurveyDiameter | None = None) -> int:
     return max(1, math.ceil(min(d_max / ma, len(obs))))
 
 
-def _columns(pts: np.ndarray):
-    """Contiguous x and y columns of an (n, 2) array."""
-    return np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
-
-
 def _sq_dist(ax, ay, bx, by, dx=None, dy=None):
     """Squared planar distance (ax - bx)^2 + (ay - by)^2, broadcast elementwise.
 
@@ -254,12 +249,15 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     runs), built in one reused buffer, and the same single uniform, so the same
     index and the same generator state afterwards.
 
-    A window of at most KMEANS_DENSE_MAX_N points takes each chosen centre's
-    row from one n x n matrix; (x_c - x)^2 has the bits of (x - x_c)^2. A
-    larger window writes each chosen centre's row into one reused buffer.
+    The running minimum d2 starts at +inf, and each chosen centre's row is
+    folded into it just before the next draw (min(inf, d) is d), so the last
+    centre's row, which no draw reads, is never computed. A window of at most
+    KMEANS_DENSE_MAX_N points takes each row from one n x n matrix; (x_c - x)^2
+    has the bits of (x - x_c)^2. A larger window writes each row into one
+    reused buffer.
     """
     n = len(pts)
-    x, y = _columns(pts)
+    x, y = pts.T
     if n <= KMEANS_DENSE_MAX_N:
         row = _sq_dist(x[:, None], y[:, None], x, y).__getitem__
     else:
@@ -268,9 +266,10 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
         def row(c):
             return _sq_dist(x, y, *pts[c].tolist(), buf, dy)
     chosen = [rng.integers(n)]
-    d2 = row(chosen[0]).copy()  # np.minimum writes into d2 below
+    d2 = np.full(n, np.inf)
     cdf = np.empty(n)
     for _ in range(1, k):
+        np.minimum(d2, row(chosen[-1]), out=d2)
         total = d2.sum()
         if total == 0.0:
             c = rng.integers(n)
@@ -280,7 +279,6 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
             cdf /= cdf[-1]
             c = cdf.searchsorted(rng.random(), side="right")
         chosen.append(c)
-        np.minimum(d2, row(c), out=d2)
     return pts[chosen]
 
 
@@ -325,8 +323,8 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray):
     """
     k = len(centers)
     n = len(pts)
-    x, y = _columns(pts)
-    cx, cy = _columns(centers)
+    x, y = pts.T
+    cx, cy = centers.T
     dense = n <= KMEANS_DENSE_MAX_N or k <= LLOYD_DENSE_MAX_K
     if not dense:
         labels = np.empty(n, dtype=np.intp)
@@ -392,7 +390,9 @@ def kmeans(pts: np.ndarray, k: int, seed: int) -> ClusterSet:
     """Deterministic K-means over (n, 2) planar points (k-means++ init, Lloyd).
 
     Returns row i's cluster id as labels[i], each cluster's size, and every
-    non-empty cluster kept.
+    non-empty cluster kept. The kernels read the x and y columns as views,
+    `x, y = pts.T`, so they are contiguous when pts is the transpose of a
+    (2, n) array of x and y rows, as the estimator passes its window.
     """
     n = len(pts)
     if not 1 <= k <= n:

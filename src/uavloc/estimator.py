@@ -8,11 +8,13 @@ smallest least-squares residual.
 Work that only grows with the window is carried across iterations: each
 iteration thresholds only the samples that arrived since the last one,
 projects the newly kept ones in one `project` call on their coordinate
-columns, and appends them to the kept samples and to two columns: planar
-positions as one (N, 2) array, and RSSI. The survey diameter is folded in
-the same way (see `cluster.SurveyDiameter`). Clustering, the size filter,
-reference selection and the SVD solve run over all kept samples every
-iteration.
+columns, and appends them to the kept samples, to their planar positions and
+to their RSSI column. The positions are one (2, N) array of x and y rows,
+which k-means reads in place as contiguous columns. The survey diameter is
+folded in the same way (see `cluster.SurveyDiameter`). Clustering, the size
+filter, reference selection and the SVD solve run over all kept samples
+every iteration. The projection's origin is the first observation's
+position.
 
 `ingest` rejects a sample whose timestamp goes backwards, and kept samples
 are appended in ingest order, so row order is time order. Reference
@@ -102,20 +104,17 @@ class Estimator:
         self.config = config
         self.observations: list[cl.Observation] = []
         self.history: list[IterationResult] = []
-        self.origin: GeoPoint | None = None
         # carried across iterations; observations[:_seen] are folded in
         self._seen = 0
         self._kept: list[cl.Observation] = []
-        self._xy = np.empty((0, 2))  # planar positions of _kept
+        self._xy = np.empty((2, 0))  # planar x and y rows of _kept
         self._rssi = np.empty(0)
         self._diameter = cl.SurveyDiameter()
 
     def ingest(self, o: cl.Observation) -> IterationResult | None:
         """Append one observation; run an iteration on each full batch."""
         obs = self.observations
-        if not obs:
-            self.origin = o.pos
-        elif o.t < obs[-1].t:
+        if obs and o.t < obs[-1].t:
             raise ObservationOrderError(f"timestamp {o.t} precedes last observation {obs[-1].t}")
         obs.append(o)
         if len(obs) % self.config.batch_size == 0:
@@ -147,21 +146,21 @@ class Estimator:
         try:
             new_kept = cl.threshold_rssi(self.observations[self._seen:], cfg.min_dbm)
             if new_kept:
-                x, y = project(self.origin, [o.pos.lat for o in new_kept],
+                x, y = project(self.observations[0].pos, [o.pos.lat for o in new_kept],
                                [o.pos.lon for o in new_kept])
                 self._kept += new_kept
-                self._xy = np.concatenate([self._xy, np.column_stack([x, y])])
+                self._xy = np.concatenate([self._xy, [x, y]], axis=1)
                 self._rssi = np.concatenate([self._rssi, [o.rssi for o in new_kept]])
             self._seen = n_obs
             if not self._kept:
                 return skipped("no observations above rssi threshold")
             k = cl.compute_k(self._kept, cfg.ma, self._diameter)
-            cs = cl.kmeans(self._xy, k, _iteration_seed(cfg.seed, index))
+            cs = cl.kmeans(self._xy.T, k, _iteration_seed(cfg.seed, index))
             cs = cl.filter_clusters(cs, cfg.r_thresh_for(index))
             if len(cs.ids) < 3:
                 return skipped(f"only {len(cs.ids)} clusters survive size filter")
-            refs = cl.select_reference_nodes(cs, self._kept, self._xy, self._rssi, cfg.cal)
-            estimate, residual_rms, condition = estimate_position(refs, self.origin)
+            refs = cl.select_reference_nodes(cs, self._kept, self._xy.T, self._rssi, cfg.cal)
+            estimate, residual_rms, condition = estimate_position(refs, self.observations[0].pos)
         except (ValueError, DegenerateGeometryError) as e:
             return skipped(str(e))
         return IterationResult(index=index, n_obs=n_obs, status="ok", n_clusters_used=len(refs),

@@ -221,10 +221,12 @@ def _non_negative(text: str) -> float:
     return _number(text, float, lambda v: 0 <= v < math.inf, "non-negative and finite")
 
 
-def _r_thresh(text: str):
-    if text == R_THRESH_ITERATION:
-        return text
+def _non_negative_int(text: str) -> int:
     return _number(text, int, lambda v: v >= 0, "a non-negative integer")
+
+
+def _r_thresh(text: str):
+    return text if text == R_THRESH_ITERATION else _non_negative_int(text)
 
 
 def _ma_list(text: str):
@@ -408,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic observation log")
     p.add_argument("--scenario", choices=sorted(SCENARIOS), default="gtu-sim")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--sigma", type=_non_negative, default=3.0,
                    help="shadowing std-dev (dB), default 3")
     p.add_argument("--duration", type=_positive, help="seconds (default: full survey)")

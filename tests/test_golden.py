@@ -13,6 +13,11 @@ seed (`perfbench/workloads.py`), and each report is `uavloc estimate --truth
 per-sample simulator loop, before the simulator computed surveys as columns.
 The loiter set clusters windows of more than 64 points into k = 3, so it
 covers Lloyd's dense path above the window bound.
+
+CLI_OUTPUTS pins the standard output of `baseline` and `calibrate` (each with
+`--truth` at the log's target) and of `sweep-ma` (default `--ma-values`) on
+the gtu-sim seed 0 log. Every number there is printed to 9 significant
+digits, so the text does not depend on BLAS order or threading.
 """
 
 import hashlib
@@ -28,6 +33,13 @@ GOLDEN = {
     "acceptance": (["--ma", "20", "--min-rssi", "-46", "--r-thresh", "1"],
                    "6ab3f7aede57d3c185b07708b4ed923fe5211f7c9f17e0455f3e682f2ba7dae6"),
     "default": ([], "205072e4ab01a1d6f5add0d61727f0e3d5833cf50c1057c94b4ca2d8efa2718a"),
+}
+
+CLI_OUTPUTS = {
+    "baseline": "baseline estimate: (40.8053851, 29.3596016) error 89.2714288 m\n",
+    "calibrate": "# cal d0=100 p0=-45.5410938 n=1.97068534 sigma=2.99436062\n",
+    "sweep-ma": ("ma_m,error_m\n50,177.416916\n70,521.42566\n90,525.5949\n110,631.182437\n"
+                 "130,1000.8076\n150,887.794388\n170,1293.85857\n190,974.708199\n"),
 }
 
 # workload -> (log seeds 0 .. n-1, log aggregate digest, report aggregate digest)
@@ -73,6 +85,16 @@ def test_estimate_report_byte_identical(gtu_sim_log, tmp_path, flags):
     out = tmp_path / "report.json"
     assert main(["estimate", "--obs", str(gtu_sim_log), "--out", str(out)] + argv) == 0
     assert sha256(out) == digest
+
+
+@pytest.mark.parametrize("command", sorted(CLI_OUTPUTS))
+def test_cli_output_identical(gtu_sim_log, capsys, command):
+    argv = [command, "--obs", str(gtu_sim_log)]
+    if command != "sweep-ma":
+        argv += ["--truth", parse_log(str(gtu_sim_log)).meta["target"]]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == CLI_OUTPUTS[command]
 
 
 @pytest.mark.parametrize("name", sorted(AGGREGATES))

@@ -242,6 +242,34 @@ def test_kmeans_pp_draw_matches_rng_choice(case):
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_kmeans_pp_init_computes_no_row_for_the_last_centre(monkeypatch, k):
+    # on the pruned path each chosen centre's row is folded in just before the
+    # next draw, so k centres take k - 1 rows: the last one no draw reads
+    rows = []
+    sq_dist = cluster._sq_dist
+    monkeypatch.setattr(cluster, "_sq_dist", lambda *a: rows.append(a) or sq_dist(*a))
+    pts = np.random.default_rng(k).uniform(-1000.0, 1000.0, size=(2, 100)).T
+    with kmeans_path(0):
+        _kmeans_pp_init(pts, k, np.random.default_rng(k))
+    assert len(rows) == k - 1
+
+
+@pytest.mark.parametrize("bound", PATH_BOUNDS)
+def test_kmeans_reads_the_estimators_window_in_place_and_leaves_it(bound):
+    # the kernels take x and y as views of the window the estimator carries as
+    # (2, n) rows: they must not write into it, and must cluster it as they do
+    # a contiguous (n, 2) copy
+    xy = np.random.default_rng(5).uniform(-1000.0, 1000.0, size=(2, 150))
+    before = xy.copy()
+    with kmeans_path(bound):
+        got = kmeans(xy.T, 9, 11)
+        want = kmeans(np.ascontiguousarray(xy.T), 9, 11)
+    assert np.array_equal(bits(xy), bits(before))
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.counts, want.counts)
+
+
 # Scales whose squared distances are subnormal (1e-160 and 1e-156 m), meet
 # the pruning floor (1e-150 m), or span about 1e6 m, and a survey-sized one.
 scales = st.sampled_from([1e-160, 1e-156, 1e-152, 1e-150, 1e-148, 1e3, 1e6])

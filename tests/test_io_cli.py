@@ -455,11 +455,13 @@ def test_cli_non_positive_batch_is_a_usage_error(tmp_path, capsys, command, valu
     ("--batch", "2.5", "invalid _positive_int value: '2.5'"),
     ("--sigma", "x", "invalid _non_negative value: 'x'"),
     ("--r-thresh", "x", "invalid _r_thresh value: 'x'"),
+    ("--seed", "x", "invalid _non_negative_int value: 'x'"),
 ])
 def test_cli_number_flag_that_does_not_parse_names_its_type(capsys, flag, value, message):
     # argparse quotes the type function's name; the range messages are
-    # pinned by the tests above
-    command = ["simulate", "--out", "x.csv"] if flag == "--sigma" else ["estimate", "--obs", "x"]
+    # pinned by the tests above. --sigma and --seed are simulate's.
+    command = (["simulate", "--out", "x.csv"] if flag in ("--sigma", "--seed")
+               else ["estimate", "--obs", "x"])
     with pytest.raises(SystemExit) as exc:
         run_cli(command + [f"{flag}={value}"])
     assert exc.value.code == 2
@@ -469,11 +471,13 @@ def test_cli_number_flag_that_does_not_parse_names_its_type(capsys, flag, value,
 @pytest.mark.parametrize("command, flag, value, message", [
     ("estimate", "--r-thresh", "-1", "must be a non-negative integer, got -1"),
     ("sweep-ma", "--ma-values", "50,abc", "expected comma-separated meters, got '50,abc'"),
+    ("simulate", "--seed", "-1", "must be a non-negative integer, got -1"),
 ])
 def test_cli_flag_out_of_range_or_malformed_list_is_a_usage_error(capsys, command, flag,
                                                                   value, message):
+    io_flag = ["--out", "x.csv"] if command == "simulate" else ["--obs", "x"]
     with pytest.raises(SystemExit) as exc:
-        run_cli([command, "--obs", "x", f"{flag}={value}"])
+        run_cli([command] + io_flag + [f"{flag}={value}"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
 
