@@ -1,6 +1,7 @@
 """Measurement pre-processing: RSSI thresholding, dynamic K-means over
 observation positions, small-cluster elimination, and max-power
-reference-node selection."""
+reference-node selection, which returns each iteration's anchors as one
+(m, 3) array of (x, y, range) rows."""
 
 from __future__ import annotations
 
@@ -115,7 +116,10 @@ class ClusterSet:
 
 @dataclass(frozen=True)
 class ReferenceNode:
-    """Strongest-RSSI member of a cluster, with its inverted distance."""
+    """One anchor as an object: its planar and geodetic position, RSSI and
+    inverted distance. The estimator carries anchors as array rows instead
+    (`select_reference_nodes`); this type is the input of
+    `lateration.build_system`."""
 
     pos_planar: PlanarPoint
     pos_geo: GeoPoint
@@ -408,25 +412,23 @@ def filter_clusters(cs: ClusterSet, r_thresh: int) -> ClusterSet:
     return ClusterSet(cs.labels, cs.counts, cs.ids[cs.counts[cs.ids] > r_thresh])
 
 
-def reference_nodes(obs, rows, xy: np.ndarray, cal: Calibration) -> list:
-    """A ReferenceNode for each row index in rows, in that order: the row's
-    planar point xy[i], obs[i]'s position and RSSI, and the range the RSSI
-    inverts to.
+def anchor_rows(xy: np.ndarray, rssi: list, cal: Calibration) -> np.ndarray:
+    """The (m, 3) array of (x, y, range) anchor rows that `lateration`
+    solves: the planar points xy, (m, 2), beside the ranges that the RSSI
+    values, Python floats, invert to, taken in order.
 
-    Raises ValueError when that range is not a positive finite float (see
-    `rssi_to_distance`).
+    Raises ValueError at the first range that is not a positive finite float
+    (see `rssi_to_distance`).
     """
-    return [ReferenceNode(PlanarPoint(px, py), obs[i].pos, obs[i].rssi,
-                          rssi_to_distance(obs[i].rssi, cal))
-            for i, (px, py) in zip(rows, xy[rows].tolist())]
+    return np.column_stack([xy, [rssi_to_distance(r, cal) for r in rssi]])
 
 
-def select_reference_nodes(cs: ClusterSet, obs, xy: np.ndarray, rssi: np.ndarray,
-                           cal: Calibration):
-    """One reference node per kept cluster, in id order: its first
-    strongest-RSSI member.
+def select_reference_nodes(cs: ClusterSet, xy: np.ndarray, rssi: np.ndarray,
+                           cal: Calibration) -> np.ndarray:
+    """One anchor row per kept cluster, in id order: its first strongest-RSSI
+    member, as an (m, 3) array of (x, y, range) rows (see `anchor_rows`).
 
-    Row i of the xy and rssi columns belongs to obs[i]; xy holds the planar
+    Row i of the xy and rssi columns is one kept sample; xy holds the planar
     projections the clustering ran on. Rows must be in time order (t never
     decreasing), as the estimator keeps them. `np.maximum.at` by label gives
     each cluster's strongest RSSI, and `np.minimum.at` over the rows that
@@ -442,4 +444,5 @@ def select_reference_nodes(cs: ClusterSet, obs, xy: np.ndarray, rssi: np.ndarray
     hits = np.flatnonzero(rssi == top[cs.labels])
     first = np.full(len(cs.counts), len(rssi))
     np.minimum.at(first, cs.labels[hits], hits)
-    return reference_nodes(obs, first[cs.ids].tolist(), xy, cal)
+    rows = first[cs.ids]
+    return anchor_rows(xy[rows], rssi[rows].tolist(), cal)

@@ -13,8 +13,10 @@ to their RSSI column. The positions are one (2, N) array of x and y rows,
 which k-means reads in place as contiguous columns. The survey diameter is
 folded in the same way (see `cluster.SurveyDiameter`). Clustering, the size
 filter, reference selection and the SVD solve run over all kept samples
-every iteration. The projection's origin is the first observation's
-position.
+every iteration. Reference selection reads the position and RSSI columns and
+hands the solve one (m, 3) array of (x, y, range) anchor rows, so no
+per-anchor object is built. The projection's origin is the first
+observation's position.
 
 `ingest` rejects a sample whose timestamp goes backwards, and kept samples
 are appended in ingest order, so row order is time order. Reference
@@ -48,7 +50,10 @@ class EstimatorConfig:
     is checked here, so that a run that starts never fails on its config: ma
     is a positive finite real, cal a Calibration, min_dbm a real that is not
     nan (either infinity is allowed), and batch_size, seed and an integer
-    r_thresh are integers. No field may be a bool.
+    r_thresh are integers. No field may be a bool. Any integer seed is
+    accepted, but only its low 32 bits are used (see `_iteration_seed`), so
+    seeds that differ by a multiple of 2**32 run alike; the CLI takes only
+    seeds in [0, 2**32).
     """
 
     ma: float
@@ -159,13 +164,12 @@ class Estimator:
             cs = cl.filter_clusters(cs, cfg.r_thresh_for(index))
             if len(cs.ids) < 3:
                 return skipped(f"only {len(cs.ids)} clusters survive size filter")
-            refs = cl.select_reference_nodes(cs, self._kept, self._xy.T, self._rssi, cfg.cal)
-            estimate, residual_rms, condition = estimate_position(refs, self.observations[0].pos)
+            anchors = cl.select_reference_nodes(cs, self._xy.T, self._rssi, cfg.cal)
+            estimate, rms, condition = estimate_position(anchors, self.observations[0].pos)
         except (ValueError, DegenerateGeometryError) as e:
             return skipped(str(e))
-        return IterationResult(index=index, n_obs=n_obs, status="ok", n_clusters_used=len(refs),
-                               estimate=estimate, residual_rms=residual_rms,
-                               condition=condition)
+        return IterationResult(index=index, n_obs=n_obs, status="ok", n_clusters_used=len(anchors),
+                               estimate=estimate, residual_rms=rms, condition=condition)
 
     def best_estimate(self) -> tuple[GeoPoint, IterationResult]:
         """Estimate from the ok iteration with minimum residual (ties: earliest)."""

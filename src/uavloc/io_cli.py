@@ -225,6 +225,10 @@ def _non_negative_int(text: str) -> int:
     return _number(text, int, lambda v: v >= 0, "a non-negative integer")
 
 
+def _seed(text: str) -> int:
+    return _number(text, int, lambda v: 0 <= v < 2**32, "an integer in [0, 2**32)")
+
+
 def _r_thresh(text: str):
     return text if text == R_THRESH_ITERATION else _non_negative_int(text)
 
@@ -259,7 +263,7 @@ def _add_run_flags(p):
     p.add_argument("--min-rssi", type=_finite)
     p.add_argument("--r-thresh", type=_r_thresh, default=EstimatorConfig.r_thresh,
                    help="drop clusters of at most this many rows: an int >= 0 or 'iteration'")
-    p.add_argument("--seed", type=int, default=EstimatorConfig.seed)
+    p.add_argument("--seed", type=_seed, default=EstimatorConfig.seed)
     p.add_argument("--truth", type=_parse_latlon)
 
 

@@ -7,6 +7,11 @@ Expanding and lifting s = x^2 + y^2 gives the linear row
     (1, -2 x_i, -2 y_i) . (s, x, y) = d_i^2 - x_i^2 - y_i^2
 
 which is solved in the least-squares sense for all rows at once.
+
+The estimator carries each iteration's anchors as one (m, 3) float array of
+(x, y, range) rows, and `estimate_position` solves from its columns with no
+per-anchor object; `build_system` takes a list of `ReferenceNode`s instead,
+and both go through `lifted_system`.
 """
 
 from __future__ import annotations
@@ -44,42 +49,54 @@ class LaterationSolution:
     condition: float
 
 
-def build_system(refs) -> LinearSystem:
-    """Assemble the linear system from at least three reference nodes."""
-    if len(refs) < 3:
+def lifted_system(anchors: np.ndarray) -> LinearSystem:
+    """The lifted system of an (m, 3) array of (x, y, range) anchor rows, one
+    row (1, -2 x, -2 y) = d^2 - x^2 - y^2 per anchor; every solve builds its
+    system here. At least three anchors are needed."""
+    if len(anchors) < 3:
         raise InsufficientReferencesError(
-            f"multilateration needs >= 3 reference nodes, got {len(refs)}")
-    xs = np.asarray([r.pos_planar.x for r in refs], dtype=float)
-    ys = np.asarray([r.pos_planar.y for r in refs], dtype=float)
-    ds = np.asarray([r.distance for r in refs], dtype=float)
-    a = np.column_stack([np.ones_like(xs), -2.0 * xs, -2.0 * ys])
-    b = ds ** 2 - xs ** 2 - ys ** 2
-    return LinearSystem(a=a, b=b)
+            f"multilateration needs >= 3 reference nodes, got {len(anchors)}")
+    a = np.ones((len(anchors), 3))
+    np.multiply(anchors[:, :2], -2.0, out=a[:, 1:])
+    sq = anchors * anchors
+    return LinearSystem(a=a, b=sq[:, 2] - sq[:, 0] - sq[:, 1])
+
+
+def build_system(refs) -> LinearSystem:
+    """Assemble the linear system from at least three ReferenceNodes."""
+    return lifted_system(np.array([(r.pos_planar.x, r.pos_planar.y, r.distance) for r in refs],
+                                  dtype=float))
 
 
 def solve_svd(sys: LinearSystem) -> LaterationSolution:
-    """Minimum-norm least-squares solution of A v = b via SVD."""
+    """Minimum-norm least-squares solution of A v = b via SVD.
+
+    The rank, condition and residual norm are taken on Python floats; the
+    norm is sqrt(r . r), which is what np.linalg.norm computes for a 1-D
+    float vector.
+    """
     u, sv, vt = np.linalg.svd(sys.a, full_matrices=False)
-    condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    rank = int(np.sum(sv > SV_CUTOFF * sv[0]))
+    s = sv.tolist()
+    condition = s[0] / s[-1] if s[-1] > 0 else math.inf
+    rank = sum(v > SV_CUTOFF * s[0] for v in s)
     if rank < 3:
         raise DegenerateGeometryError(
             f"reference geometry rank {rank} < 3 (collinear anchors?), "
             f"condition {condition:.3g}", condition=condition)
     v = vt.T @ ((u.T @ sys.b) / sv)
-    residual_rms = float(np.linalg.norm(sys.a @ v - sys.b) / math.sqrt(len(sys.b)))
-    return LaterationSolution(s=float(v[0]), x=float(v[1]), y=float(v[2]),
-                              residual_rms=residual_rms, condition=condition)
+    r = sys.a @ v - sys.b
+    return LaterationSolution(*v.tolist(), math.sqrt(r.dot(r)) / math.sqrt(len(r)), condition)
 
 
-def estimate_position(refs, origin: GeoPoint):
-    """Solve the multilateration system and map the result back to WGS84.
+def estimate_position(anchors: np.ndarray, origin: GeoPoint):
+    """Solve the multilateration system of an (m, 3) array of (x, y, range)
+    anchor rows and map the result back to WGS84.
 
     Returns (estimate, residual_rms, condition). A solution that does not map
     to a valid coordinate (far off through ill-conditioned anchors) raises
     DegenerateGeometryError, as a rank-deficient system does.
     """
-    sol = solve_svd(build_system(refs))
+    sol = solve_svd(lifted_system(anchors))
     try:
         estimate = unproject(origin, PlanarPoint(sol.x, sol.y))
     except ValueError as e:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import observations, reference_nodes
+from .cluster import anchor_rows, observations
 from .errors import NoEstimateError
 from .estimator import Estimator, EstimatorConfig
 from .geo import (GeoPoint, PlanarPoint, haversine, haversine_columns, libm, project,
@@ -148,8 +148,7 @@ def evaluate(estimate: GeoPoint, truth: GeoPoint) -> float:
 def run_baseline_svd(obs, cal: Calibration, origin: GeoPoint) -> GeoPoint:
     """Plain-SVD baseline: every observation becomes a reference node."""
     xy = np.column_stack(project(origin, [o.pos.lat for o in obs], [o.pos.lon for o in obs]))
-    estimate, _, _ = estimate_position(reference_nodes(obs, range(len(obs)), xy, cal), origin)
-    return estimate
+    return estimate_position(anchor_rows(xy, [o.rssi for o in obs], cal), origin)[0]
 
 
 def run_estimator(obs, config: EstimatorConfig) -> Estimator:

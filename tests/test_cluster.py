@@ -164,26 +164,29 @@ def test_filter_clusters():
 def test_select_reference_nodes_max_rssi():
     obs = [obs_at(0, 0, -80.0, t=0), obs_at(10, 0, -60.0, t=1), obs_at(20, 0, -75.0, t=2)]
     cs = cluster_set((0, 1, 2))
-    refs = select_reference_nodes(cs, obs, *columns(obs), CAL)
-    assert len(refs) == 1
-    assert refs[0].rssi == -60.0
-    assert refs[0].pos_geo == obs[1].pos
+    xy, rssi = columns(obs)
+    anchors = select_reference_nodes(cs, xy, rssi, CAL)
+    assert anchors.shape == (1, 3)
+    assert anchors[0].tolist() == [*xy[1].tolist(), rssi_to_distance(-60.0, CAL)]
 
 
 def test_select_reference_nodes_tie_breaks_earliest():
     obs = [obs_at(0, 0, -60.0, t=3.0), obs_at(10, 0, -60.0, t=9.0)]
     cs = cluster_set((0, 1))
-    refs = select_reference_nodes(cs, obs, *columns(obs), CAL)
-    assert refs[0].pos_geo == obs[0].pos
+    xy, rssi = columns(obs)
+    anchors = select_reference_nodes(cs, xy, rssi, CAL)
+    assert anchors[:, :2].tolist() == [xy[0].tolist()]
 
 
 def test_select_reference_nodes_singletons():
     obs = [obs_at(0, 0, -70.0, t=0), obs_at(500, 0, -65.0, t=1)]
     cs = cluster_set((0,), (1,))
-    refs = select_reference_nodes(cs, obs, *columns(obs), CAL)
-    assert [r.rssi for r in refs] == [-70.0, -65.0]
+    xy, rssi = columns(obs)
+    anchors = select_reference_nodes(cs, xy, rssi, CAL)
+    assert anchors[:, :2].tolist() == xy.tolist()
+    assert anchors[:, 2].tolist() == [rssi_to_distance(-70.0, CAL), rssi_to_distance(-65.0, CAL)]
     # distance comes straight from the inversion
-    assert refs[0].distance == pytest.approx(10.0 ** (25.0 / 20.0) * 100.0, rel=1e-12)
+    assert anchors[0, 2] == pytest.approx(10.0 ** (25.0 / 20.0) * 100.0, rel=1e-12)
 
 
 def test_observation_validation():
@@ -272,22 +275,20 @@ def test_cluster_views_and_anchors_match_member_loops(case):
     kept = filter_clusters(filter_clusters(cs, r1), r2)
     want = [m for m in members if len(m) > max(r1, r2)]
     assert kept.clusters == tuple(want)
-    obs = [Observation(t=float(i), pos=GeoPoint(40.8 + 1e-4 * i, 29.35), rssi=r)
-           for i, r in enumerate(rssi)]
-    xy = np.arange(2.0 * len(obs)).reshape(-1, 2)
+    xy = np.arange(2.0 * len(rssi)).reshape(-1, 2)
     col = np.array(rssi)
     anchors = [m[int(np.argmax(col[list(m)]))] for m in want]
-    got = [(r.pos_planar, r.pos_geo, r.rssi.hex(), r.distance.hex())
-           for r in select_reference_nodes(kept, obs, xy, col, CAL)]
-    assert got == [(PlanarPoint(*xy[i].tolist()), obs[i].pos, obs[i].rssi.hex(),
-                    rssi_to_distance(obs[i].rssi, CAL).hex()) for i in anchors]
+    got = select_reference_nodes(kept, xy, col, CAL)
+    assert got.shape == (len(want), 3)
+    assert [[v.hex() for v in row] for row in got.tolist()] == [
+        [v.hex() for v in (*xy[i].tolist(), rssi_to_distance(rssi[i], CAL))] for i in anchors]
 
 
 def test_select_reference_nodes_zero_dbm_ties_keep_the_first_sign():
-    # +0.0 and -0.0 are equally strong, so the first member is the anchor,
-    # with its own sign
+    # +0.0 and -0.0 are equally strong, so each cluster's first member is
+    # the anchor, whichever sign it reads
     obs = [obs_at(0, 0, -0.0, t=0), obs_at(10, 0, 0.0, t=1), obs_at(20, 0, 0.0, t=2),
            obs_at(30, 0, -0.0, t=3)]
-    refs = select_reference_nodes(cluster_set((0, 2), (1, 3)), obs, *columns(obs), CAL)
-    assert [r.rssi.hex() for r in refs] == [(-0.0).hex(), (0.0).hex()]
-    assert [r.pos_geo for r in refs] == [obs[0].pos, obs[1].pos]
+    xy, rssi = columns(obs)
+    anchors = select_reference_nodes(cluster_set((0, 2), (1, 3)), xy, rssi, CAL)
+    assert anchors[:, :2].tolist() == xy[:2].tolist()

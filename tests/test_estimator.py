@@ -11,7 +11,7 @@ from uavloc.cluster import Observation
 from uavloc.errors import NoEstimateError, ObservationOrderError
 from uavloc.estimator import Estimator, EstimatorConfig, IterationResult
 from uavloc.geo import GeoPoint, PlanarPoint, haversine, unproject
-from uavloc.pathloss import Calibration, calibration_from_tx
+from uavloc.pathloss import Calibration, calibration_from_tx, rssi_to_distance
 from uavloc.simulator import gtu_sim_scenario, run_estimator, simulate_observations
 
 CAL = Calibration(d0=100.0, p0_dbm=-45.211, n=2.0)
@@ -214,10 +214,10 @@ def test_reference_selection_sees_time_ordered_rows(monkeypatch):
     calls = []
     select = cluster.select_reference_nodes
 
-    def recording(cs, obs, xy, rssi, cal):
-        refs = select(cs, obs, xy, rssi, cal)
-        calls.append((list(obs), rssi, refs))
-        return refs
+    def recording(cs, xy, rssi, cal):
+        anchors = select(cs, xy, rssi, cal)
+        calls.append((xy.copy(), rssi, anchors))
+        return anchors
 
     monkeypatch.setattr(cluster, "select_reference_nodes", recording)
     corners = [(0.0, 0.0), (1000.0, 0.0), (0.0, 1000.0), (1000.0, 1000.0)]
@@ -230,14 +230,20 @@ def test_reference_selection_sees_time_ordered_rows(monkeypatch):
     est = Estimator(config(ma=400.0, batch_size=20, min_dbm=-80.0, r_thresh=1))
     for j in range(40):
         est.ingest(rows[j % 4, j // 4])
+    # the rows above min_dbm, in ingest order
+    kept = [rows[j % 4, j // 4] for j in range(40) if j >= 4]
     assert len(calls) == 2
-    for obs, rssi, refs in calls:
+    for xy, rssi, anchors in calls:
+        obs = kept[:len(rssi)]
         times = [o.t for o in obs]
         assert times == sorted(times)
         assert rssi.tolist() == [o.rssi for o in obs]
-        # the earlier row of each pair is its group's anchor
-        anchors = {(r.pos_geo.lat, r.pos_geo.lon) for r in refs}
-        assert anchors == {(rows[g, 2].pos.lat, rows[g, 2].pos.lon) for g in range(4)}
+        assert len(xy) == len(obs)
+        # each anchor is one kept row's planar point and range, and the
+        # earlier row of each pair is its group's anchor
+        picked = [obs[int(np.flatnonzero((xy == a[:2]).all(axis=1))[0])] for a in anchors]
+        assert len(picked) == 4 and set(picked) == {rows[g, 2] for g in range(4)}
+        assert anchors[:, 2].tolist() == [rssi_to_distance(-60.0, CAL)] * 4
 
 
 @pytest.mark.parametrize("p0", [1e300, -1e300])

@@ -23,7 +23,7 @@ from uavloc import cluster
 from uavloc.cluster import (CHORD2_MARGIN, KMEANS_MAX_ITER, KMEANS_TOL_M, ClusterSet,
                             Observation, SurveyDiameter, _kmeans_pp_init, _lloyd,
                             kmeans, select_reference_nodes)
-from uavloc.geo import EARTH_RADIUS_M, GeoPoint, PlanarPoint
+from uavloc.geo import EARTH_RADIUS_M, GeoPoint
 from uavloc.pathloss import Calibration, rssi_to_distance
 
 
@@ -356,7 +356,7 @@ def select_oracle(cs, obs, cal):
     refs = []
     for c in cs.clusters:
         best = min(c, key=lambda i: (-obs[i].rssi, obs[i].t))
-        refs.append((best, obs[best].rssi, rssi_to_distance(obs[best].rssi, cal)))
+        refs.append((best, rssi_to_distance(obs[best].rssi, cal)))
     return refs
 
 
@@ -380,13 +380,9 @@ def test_first_strongest_reference_selection_matches_min_loop(case):
     cs = ClusterSet(labels, counts, np.flatnonzero(counts))
     xy = np.arange(2.0 * len(obs)).reshape(-1, 2)
     rssi = np.array([o.rssi for o in obs])
-    got = select_reference_nodes(cs, obs, xy, rssi, CAL)
+    got = select_reference_nodes(cs, xy, rssi, CAL)
     want = select_oracle(cs, obs, CAL)
-    assert len(got) == len(want)
-    for ref, (best, best_rssi, distance) in zip(got, want):
-        assert ref.pos_planar == PlanarPoint(*xy[best])
-        assert ref.pos_geo == obs[best].pos
-        assert ref.rssi == best_rssi and ref.distance == distance
+    assert got.tolist() == [[*xy[best].tolist(), distance] for best, distance in want]
 
 
 @settings(max_examples=200, deadline=None)

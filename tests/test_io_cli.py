@@ -472,6 +472,9 @@ def test_cli_number_flag_that_does_not_parse_names_its_type(capsys, flag, value,
     ("estimate", "--r-thresh", "-1", "must be a non-negative integer, got -1"),
     ("sweep-ma", "--ma-values", "50,abc", "expected comma-separated meters, got '50,abc'"),
     ("simulate", "--seed", "-1", "must be a non-negative integer, got -1"),
+    # the estimator's seed is 32 bits: a larger one would alias a smaller one
+    ("estimate", "--seed", "-1", "must be an integer in [0, 2**32), got -1"),
+    ("estimate", "--seed", "4294967296", "must be an integer in [0, 2**32), got 4294967296"),
 ])
 def test_cli_flag_out_of_range_or_malformed_list_is_a_usage_error(capsys, command, flag,
                                                                   value, message):
@@ -480,6 +483,13 @@ def test_cli_flag_out_of_range_or_malformed_list_is_a_usage_error(capsys, comman
         run_cli([command] + io_flag + [f"{flag}={value}"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep-ma"])
+def test_run_seed_takes_every_32_bit_value(command):
+    parser = build_parser()
+    for seed in (0, 2**32 - 1):
+        assert parser.parse_args([command, "--obs", "x", f"--seed={seed}"]).seed == seed
 
 
 def test_cli_log_without_cal_line_takes_calibration_from_flags(tmp_path, capsys):

@@ -6,9 +6,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from uavloc.cluster import ReferenceNode
-from uavloc.errors import DegenerateGeometryError, InsufficientReferencesError
+from uavloc.errors import (DegenerateGeometryError, InsufficientReferencesError,
+                           LocalizationError)
 from uavloc.geo import GeoPoint, PlanarPoint, haversine, unproject
-from uavloc.lateration import build_system, estimate_position, solve_svd
+from uavloc.lateration import (SV_CUTOFF, build_system, estimate_position, lifted_system,
+                               solve_svd)
 
 ORIGIN = GeoPoint(40.8081, 29.3560)
 
@@ -17,6 +19,11 @@ def ref(x, y, d):
     return ReferenceNode(pos_planar=PlanarPoint(float(x), float(y)),
                          pos_geo=unproject(ORIGIN, PlanarPoint(float(x), float(y))),
                          rssi=-60.0, distance=float(d))
+
+
+def anchor_array(refs):
+    """The (m, 3) array of (x, y, range) rows that the estimator solves."""
+    return np.array([(r.pos_planar.x, r.pos_planar.y, r.distance) for r in refs])
 
 
 def refs_for_target(anchors, target):
@@ -117,7 +124,7 @@ def test_estimate_position_round_trip():
     target_planar = (320.0, -210.0)
     anchors = [(0, 0), (600, 50), (150, 500), (-400, -300), (500, -450)]
     refs = refs_for_target(anchors, target_planar)
-    est, residual, cond = estimate_position(refs, ORIGIN)
+    est, residual, cond = estimate_position(anchor_array(refs), ORIGIN)
     truth = unproject(ORIGIN, PlanarPoint(*target_planar))
     assert haversine(est, truth) < 1.0
     assert residual < 1e-6
@@ -127,7 +134,7 @@ def test_estimate_position_round_trip():
 def test_estimate_position_insufficient():
     refs = refs_for_target([(0, 0), (500, 0)], (100, 100))
     with pytest.raises(InsufficientReferencesError):
-        estimate_position(refs, ORIGIN)
+        estimate_position(anchor_array(refs), ORIGIN)
 
 
 def test_perturbed_distance_gives_positive_residual():
@@ -161,7 +168,7 @@ def test_far_solution_is_degenerate_geometry():
     sol = solve_svd(build_system(refs))
     assert abs(sol.y) > 1e7
     with pytest.raises(DegenerateGeometryError, match="condition") as exc:
-        estimate_position(refs, ORIGIN)
+        estimate_position(anchor_array(refs), ORIGIN)
     assert exc.value.condition == sol.condition
     assert "latitude" in str(exc.value)
 
@@ -192,8 +199,73 @@ def test_exact_ranges_recover_target_or_raise(anchors, target):
     assume(all(tuple(a) != tuple(target) for a in anchors))  # ranges must be positive
     refs = refs_for_target(anchors, target)
     try:
-        est, _, cond = estimate_position(refs, ORIGIN)
+        est, _, cond = estimate_position(anchor_array(refs), ORIGIN)
     except DegenerateGeometryError:
         return
     err = haversine(est, unproject(ORIGIN, PlanarPoint(*map(float, target))))
     assert err <= 1000.0 * cond * 2.0 ** -52 * BOX_M ** 2 + 1e-6
+
+
+# Anchors near the origin, on a coarse grid (collinear and repeated rows) and
+# far off; each range is the distance to a target near the origin, exact or
+# scaled (solutions off the map among them), and positive.
+near = st.floats(-2000.0, 2000.0)
+coord = st.one_of(near, st.integers(-4, 4).map(lambda v: v * 500.0), st.floats(-1e7, 1e7))
+
+
+@st.composite
+def anchor_rows(draw):
+    anchors = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=40))
+    tx, ty = draw(near), draw(near)
+    scale = st.one_of(st.just(1.0), st.floats(0.5, 2.0))
+    return [(x, y, math.hypot(tx - x, ty - y) * draw(scale) or 1.0) for x, y in anchors]
+
+
+def outcome(solve, rows):
+    """The bits of (lat, lon, residual_rms, condition), or the error's type and text."""
+    try:
+        return [v.hex() for v in solve(rows)]
+    except (LocalizationError, ValueError) as e:
+        return type(e).__name__, str(e)
+
+
+def via_array(rows):
+    try:
+        est, residual, cond = estimate_position(np.array(rows), ORIGIN)
+    except DegenerateGeometryError as e:
+        # an off-map solution wraps unproject's ValueError
+        raise e.__cause__ or e
+    return est.lat, est.lon, residual, cond
+
+
+def via_nodes(rows):
+    sol = solve_svd(build_system([ReferenceNode(PlanarPoint(x, y), ORIGIN, -60.0, d)
+                                  for x, y, d in rows]))
+    est = unproject(ORIGIN, PlanarPoint(sol.x, sol.y))
+    return est.lat, est.lon, sol.residual_rms, sol.condition
+
+
+@settings(max_examples=300, deadline=None)
+@given(anchor_rows())
+@example([(0.0, 0.0, 100.0), (500.0, 0.0, 200.0), (1000.0, 0.0, 300.0)])
+@example([(0.0, 0.0, 548.0), (1000.0, 0.0, 548.0), (2000.0, 0.01, 548.0)])
+def test_anchor_array_solves_like_reference_nodes(rows):
+    # the estimator's array path against the gate's ReferenceNode path, bit
+    # for bit or error for error
+    assert outcome(via_array, rows) == outcome(via_nodes, rows)
+    # the system and the solve's rank and residual against the same formulas
+    # written with whole-array numpy calls
+    anchors = np.array(rows)
+    x, y, d = anchors.T
+    sys_ = lifted_system(anchors)
+    assert sys_.a.tobytes() == np.column_stack([np.ones_like(x), -2.0 * x, -2.0 * y]).tobytes()
+    assert sys_.b.tobytes() == (d ** 2 - x ** 2 - y ** 2).tobytes()
+    u, sv, vt = np.linalg.svd(sys_.a, full_matrices=False)
+    rank = int(np.sum(sv > SV_CUTOFF * sv[0]))
+    if rank < 3:
+        with pytest.raises(DegenerateGeometryError, match=f"rank {rank} < 3"):
+            solve_svd(sys_)
+        return
+    v = vt.T @ ((u.T @ sys_.b) / sv)
+    residual = float(np.linalg.norm(sys_.a @ v - sys_.b) / math.sqrt(len(rows)))
+    assert solve_svd(sys_).residual_rms.hex() == residual.hex()

@@ -9,7 +9,7 @@ import importlib.util
 from pathlib import Path
 
 from uavloc import cluster
-from uavloc.io_cli import main
+from uavloc.io_cli import main, read_report
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -41,8 +41,21 @@ def traced_estimate(tmp_path, flags):
     return tracer
 
 
+def span_counts(tracer, name):
+    """The counts of each span of that name that recorded them, in start order."""
+    return [tracer.counts[sid] for sid, i in enumerate(tracer.name_col)
+            if tracer.names[i] == name and sid in tracer.counts]
+
+
 def test_every_span_target_exists_and_fires(tmp_path):
-    traced_estimate(tmp_path, ["--ma", "20", "--min-rssi", "-46", "--r-thresh", "1"])
+    tracer = traced_estimate(tmp_path, ["--ma", "20", "--min-rssi", "-46", "--r-thresh", "1"])
+    # a solve records counts only when it returns, so the solve spans with
+    # counts are the ok iterations, in order, and each counts the anchors
+    # that iteration reports
+    used = [r["n_clusters_used"] for r in read_report(str(tmp_path / "run.json")).iterations
+            if r["status"] == "ok"]
+    anchors = [c["anchors"] for c in span_counts(tracer, "lateration.solve")]
+    assert len(used) > 10 and anchors == used
 
 
 def test_default_flags_trace_takes_the_pruned_path(tmp_path):
@@ -50,8 +63,7 @@ def test_default_flags_trace_takes_the_pruned_path(tmp_path):
     # after two batches, and ma 130 asks for more than three clusters: Lloyd
     # runs pruned, and the filter counts read the label-based ClusterSet
     tracer = traced_estimate(tmp_path, ["--ma", "130"])
-    filtered = [tracer.counts[sid] for sid, i in enumerate(tracer.name_col)
-                if tracer.names[i] == "cluster.filter"]
+    filtered = span_counts(tracer, "cluster.filter")
     assert len(filtered) == 30
     assert all(c["clusters_after"] <= c["clusters_before"] for c in filtered)
     assert max(c["clusters_before"] for c in filtered[2:]) > cluster.LLOYD_DENSE_MAX_K
