@@ -137,10 +137,12 @@ def threshold_rssi(obs, min_dbm: float):
 
 
 class SurveyDiameter:
-    """Running maximum pairwise haversine distance of an append-only
-    observation list.
+    """Running maximum pairwise haversine distance of every row folded in.
 
-    `update(obs)` folds in obs[seen:], the rows appended since the last call.
+    `update(rows)` folds in exactly the rows it is given, and keeps no cursor
+    into the caller's list: a caller whose window grows by appending passes
+    each call only the rows appended since the last, and a row passed twice
+    is held twice (it cannot raise the maximum, but it counts in `len(lat)`).
     Max is order-free and the haversine expression gives the same bits for
     (i, j) and (j, i), so only the new rows' pairs need looking at. Most of
     those are pruned by squared chord length: each row is carried as a unit
@@ -174,7 +176,8 @@ class SurveyDiameter:
     R * 5e-14 / 2 = 0.16 um on the ground, far above the rounding of the
     haversine expression for any survey short of about 10 000 km. So a pruned
     pair never holds the maximum, and the result equals a full recompute over
-    obs bit for bit, whatever order or threading BLAS uses for g.
+    every row folded in bit for bit, whatever order or threading BLAS uses
+    for g.
     """
 
     def __init__(self):
@@ -184,12 +187,11 @@ class SurveyDiameter:
         self.chord2 = 0.0  # largest squared chord seen, on the unit sphere
         self.value = 0.0
 
-    def update(self, obs) -> float:
-        seen = len(self.lat)
-        if seen == len(obs):
+    def update(self, rows) -> float:
+        if not rows:
             return self.value
-        new_lat = np.radians([o.pos.lat for o in obs[seen:]])
-        new_lon = np.radians([o.pos.lon for o in obs[seen:]])
+        new_lat = np.radians([o.pos.lat for o in rows])
+        new_lon = np.radians([o.pos.lon for o in rows])
         cos_lat = np.cos(new_lat)
         new_unit = np.column_stack([cos_lat * np.cos(new_lon), cos_lat * np.sin(new_lon),
                                     np.sin(new_lat)])
@@ -216,18 +218,22 @@ class SurveyDiameter:
 def compute_k(obs, ma: float, diameter: SurveyDiameter | None = None) -> int:
     """Cluster count: ceil(max pairwise distance / ma), clamped to [1, N].
 
-    A caller whose obs only grows by appending passes the same `diameter`
-    on every call, so each call pays only for the rows added since the last.
+    obs is folded into `diameter` (a fresh one when None), and the distance
+    and N are over every row the diameter then holds. A caller whose window
+    grows by appending passes the same `diameter` on every call with only the
+    rows appended since the last, so each call pays only for those; with
+    none, the call returns the window's k again. Raises when the diameter
+    would hold no rows.
     """
-    if not obs:
+    if diameter is None:
+        diameter = SurveyDiameter()
+    if not (obs or len(diameter.lat)):
         raise ValueError("need at least one observation")
     if not ma > 0:
         raise ValueError(f"ma must be positive, got {ma}")
-    if diameter is None:
-        diameter = SurveyDiameter()
     d_max = diameter.update(obs)
     # an ma small enough makes the quotient inf, which has no ceiling
-    return max(1, math.ceil(min(d_max / ma, len(obs))))
+    return max(1, math.ceil(min(d_max / ma, len(diameter.lat))))
 
 
 def _sq_dist(ax, ay, bx, by, dx=None, dy=None):

@@ -5,18 +5,27 @@ threshold -> cluster -> multilateration pipeline over all samples collected
 so far. The final answer is the estimate from the iteration with the
 smallest least-squares residual.
 
-Work that only grows with the window is carried across iterations: each
-iteration thresholds only the samples that arrived since the last one,
-projects the newly kept ones in one `project` call on their coordinate
-columns, and appends them to the kept samples, to their planar positions and
-to their RSSI column. The positions are one (2, N) array of x and y rows,
-which k-means reads in place as contiguous columns. The survey diameter is
-folded in the same way (see `cluster.SurveyDiameter`). Clustering, the size
+Work that only grows with the window is carried across iterations, and the
+kept window is held once, as columns: each iteration thresholds only the
+samples that arrived since the last one (the `_seen` cursor, the one place
+that knows the window is append-only), projects the newly kept ones in one
+`project` call on their coordinate columns, and appends them to their planar
+positions and to their RSSI column. The positions are one (2, N) array of x
+and y rows, which k-means reads in place as contiguous columns. The same new
+kept rows, and only they, are then passed to `cl.compute_k`, which folds them
+into the survey diameter (see `cluster.SurveyDiameter`). Clustering, the size
 filter, reference selection and the SVD solve run over all kept samples
 every iteration. Reference selection reads the position and RSSI columns and
 hands the solve one (m, 3) array of (x, y, range) anchor rows, so no
 per-anchor object is built. The projection's origin is the first
 observation's position.
+
+Invariant: every row appended to the position and RSSI columns is folded
+into the diameter in the same `run_iteration`. Nothing that can return or
+raise sits between the append and the `compute_k` call; the empty-window
+skip between them fires only when nothing was appended. No copy of the
+window is re-folded, so a missed fold would go unseen: k would be computed
+from too few rows.
 
 `ingest` rejects a sample whose timestamp goes backwards, and kept samples
 are appended in ingest order, so row order is time order. Reference
@@ -109,10 +118,10 @@ class Estimator:
         self.config = config
         self.observations: list[cl.Observation] = []
         self.history: list[IterationResult] = []
-        # carried across iterations; observations[:_seen] are folded in
+        # carried across iterations; observations[:_seen] are thresholded, and
+        # the kept ones among them are in _xy, _rssi and _diameter alike
         self._seen = 0
-        self._kept: list[cl.Observation] = []
-        self._xy = np.empty((2, 0))  # planar x and y rows of _kept
+        self._xy = np.empty((2, 0))  # planar x and y rows of the kept window
         self._rssi = np.empty(0)
         self._diameter = cl.SurveyDiameter()
 
@@ -153,13 +162,12 @@ class Estimator:
             if new_kept:
                 x, y = project(self.observations[0].pos, [o.pos.lat for o in new_kept],
                                [o.pos.lon for o in new_kept])
-                self._kept += new_kept
                 self._xy = np.concatenate([self._xy, [x, y]], axis=1)
                 self._rssi = np.concatenate([self._rssi, [o.rssi for o in new_kept]])
             self._seen = n_obs
-            if not self._kept:
+            if not len(self._rssi):
                 return skipped("no observations above rssi threshold")
-            k = cl.compute_k(self._kept, cfg.ma, self._diameter)
+            k = cl.compute_k(new_kept, cfg.ma, self._diameter)
             cs = cl.kmeans(self._xy.T, k, _iteration_seed(cfg.seed, index))
             cs = cl.filter_clusters(cs, cfg.r_thresh_for(index))
             if len(cs.ids) < 3:
@@ -172,10 +180,16 @@ class Estimator:
                                estimate=estimate, residual_rms=rms, condition=condition)
 
     def best_estimate(self) -> tuple[GeoPoint, IterationResult]:
-        """Estimate from the ok iteration with minimum residual (ties: earliest)."""
+        """Estimate from the ok iteration with minimum residual (ties: earliest).
+
+        Raises NoEstimateError when no iteration is ok; its text says whether
+        none ran (the log does not fill one batch) or every one was skipped.
+        """
         ok = [r for r in self.history if r.ok]
         if not ok:
-            raise NoEstimateError("no successful iterations in history")
+            raise NoEstimateError("no successful iterations in history" if self.history else
+                                  f"no iteration ran: {len(self.observations)} observations "
+                                  f"do not fill one batch of {self.config.batch_size}")
         best = min(ok, key=lambda r: (r.residual_rms, r.index))
         return best.estimate, best
 

@@ -94,7 +94,20 @@ def test_compute_k_monotone():
     assert ks == sorted(ks, reverse=True)
 
 
-def test_max_pairwise_distance_matches_scalar():
+def test_compute_k_of_no_new_rows_is_the_held_rows_k():
+    # a diameter that holds rows answers for them when no row is new; a
+    # fresh one holds none, so an empty call still raises
+    obs = [obs_at(65.0 * i, 0, -50.0) for i in range(11)]  # 650 m across
+    d = SurveyDiameter()
+    assert compute_k(obs[:4], 130.0, d) == 2
+    assert compute_k(obs[4:], 130.0, d) == compute_k(obs, 130.0) == 5
+    assert compute_k([], 130.0, d) == 5
+    assert compute_k([], 10.0, d) == 11  # clamped to the 11 rows held
+    with pytest.raises(ValueError, match="at least one observation"):
+        compute_k([], 130.0, SurveyDiameter())
+
+
+def test_survey_diameter_matches_scalar_haversine():
     from uavloc.geo import haversine
     rng = np.random.default_rng(4)
     obs = [obs_at(rng.uniform(0, 3000), rng.uniform(0, 3000), -50.0) for _ in range(25)]

@@ -85,7 +85,6 @@ def test_zero_noise_recovery():
 
 def test_best_estimate_argmin():
     est = Estimator(config())
-    est.origin = ORIGIN
     p = ORIGIN
     mk = lambda i, r: IterationResult(index=i, n_obs=50 * i, n_clusters_used=4,
                                       estimate=p, residual_rms=r, condition=10.0,

@@ -23,8 +23,20 @@ from uavloc import cluster
 from uavloc.cluster import (CHORD2_MARGIN, KMEANS_MAX_ITER, KMEANS_TOL_M, ClusterSet,
                             Observation, SurveyDiameter, _kmeans_pp_init, _lloyd,
                             kmeans, select_reference_nodes)
+from uavloc.estimator import Estimator, EstimatorConfig
 from uavloc.geo import EARTH_RADIUS_M, GeoPoint
-from uavloc.pathloss import Calibration, rssi_to_distance
+from uavloc.pathloss import Calibration, calibration_from_tx, rssi_to_distance
+from uavloc.simulator import gtu_sim_scenario, simulate_observations
+
+
+def batches(obs, cuts):
+    """Cut obs by the given steps, then take the rest: yields each batch's
+    new rows, which an update folds in, and the prefix they complete."""
+    end = 0
+    for step in cuts + [len(obs)]:
+        new = obs[end:end + step]
+        end += len(new)
+        yield new, obs[:end]
 
 
 def diameter_oracle(obs) -> float:
@@ -130,11 +142,9 @@ def test_incremental_diameter_equals_full_recompute(centre, box, offsets, cuts):
     full = SurveyDiameter().update(obs)
     assert full.hex() == diameter_oracle(obs).hex()
     d = SurveyDiameter()
-    kept, end = [], 0
-    for step in cuts + [len(obs)]:
-        end = min(len(obs), end + step)
-        kept += obs[len(kept):end]
-        d.update(kept)
+    for new, kept in batches(obs, cuts):
+        d.update(new)
+        assert len(d.lat) == len(kept)
         assert d.value.hex() == SurveyDiameter().update(kept).hex()
     assert d.value.hex() == full.hex()
 
@@ -326,15 +336,6 @@ def test_lloyd_iteration_cap_matches_loop(monkeypatch, cap):
     assert capped >= 20
 
 
-def batches(obs, cuts):
-    """Prefixes of obs that grow by the given steps, then the whole list."""
-    end = 0
-    for step in cuts:
-        end = min(len(obs), end + step)
-        yield obs[:end]
-    yield obs
-
-
 @settings(max_examples=1000, deadline=None)
 @given(st.sampled_from([1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10]),
        st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=40),
@@ -345,10 +346,42 @@ def test_pruned_diameter_equals_full_matrix_at_fine_spacings(spacing, steps, cut
     obs = [Observation(t=float(i), pos=GeoPoint(40.8 + a * spacing, 29.35 + b * spacing),
                        rssi=-60.0) for i, (a, b) in enumerate(steps)]
     d = SurveyDiameter()
-    for kept in batches(obs, cuts):
+    for new, kept in batches(obs, cuts):
+        d.update(new)
+        assert len(d.lat) == len(kept)
         if kept:
-            d.update(kept)
             assert d.value.hex() == diameter_oracle(kept).hex()
+
+
+@pytest.mark.parametrize("fields, iterations, no_new_rows, clamped", [
+    ({"ma": 20.0, "min_dbm": -46.0, "r_thresh": 1}, 38, 33, 5),  # acceptance flags
+    ({"ma": 130.0}, 49, 0, 0)])
+def test_estimator_k_equals_full_recompute_over_kept_rows(monkeypatch, fields, iterations,
+                                                          no_new_rows, clamped):
+    # the estimator folds each batch's new kept rows into its diameter; every
+    # k-means call must still get the whole kept window and the k of a fresh
+    # compute_k over it, also on iterations that keep no new row and where k
+    # is clamped to the window's size
+    sc = gtu_sim_scenario(seed=3)
+    obs = simulate_observations(sc, sc.plan.path_length() / sc.plan.speed)
+    cfg = EstimatorConfig(cal=calibration_from_tx(sc.tx, 100.0, sc.sigma_db), seed=3, **fields)
+    est = Estimator(cfg)
+    kmeans = cluster.kmeans
+    calls = []
+
+    def recorded(pts, k, seed):
+        kept = [o for o in est.observations if o.rssi >= cfg.min_dbm]
+        calls.append(((len(pts), k), (len(kept), cluster.compute_k(kept, cfg.ma))))
+        return kmeans(pts, k, seed)
+
+    monkeypatch.setattr(cluster, "kmeans", recorded)
+    for o in obs:
+        est.ingest(o)
+    assert [got for got, _ in calls] == [want for _, want in calls]
+    sizes = [n for (n, _), _ in calls]
+    assert len(calls) == iterations
+    assert sum(a == b for a, b in zip(sizes, sizes[1:])) == no_new_rows
+    assert sum(k == n for (n, k), _ in calls) == clamped
 
 
 def select_oracle(cs, obs, cal):

@@ -388,6 +388,18 @@ def test_cli_non_finite_p0_fails_before_any_iteration(tmp_path, capsys, value):
     assert not run.exists()
 
 
+def test_cli_log_shorter_than_one_batch_says_no_iteration_ran(tmp_path, capsys):
+    obs = tmp_path / "obs.csv"
+    run = tmp_path / "run.json"
+    assert run_cli(["simulate", "--seed", "0", "--out", str(obs)]) == 0
+    capsys.readouterr()
+    assert run_cli(["estimate", "--obs", str(obs), "--batch", "100000", "--out", str(run)]) == 1
+    assert capsys.readouterr().err == ("uavloc: error: no iteration ran: 2464 observations "
+                                       "do not fill one batch of 100000\n")
+    report = json.loads(run.read_text())
+    assert report["best"] is None and report["iterations"] == []
+
+
 @pytest.mark.parametrize("p0", ["1e300", "-1e300"])
 def test_cli_anchor_range_out_of_float_range_exits_1(tmp_path, capsys, p0):
     # every anchor range overflows (+) or underflows to zero (-): estimate
