@@ -1,16 +1,3 @@
 """Single-UAV RSSI localization: path-loss ranging, geospatial clustering,
 SVD multilateration, an iterative min-residual estimator, and a desk-scale
 flight simulator."""
-
-from .cluster import Observation, ReferenceNode
-from .estimator import Estimator, EstimatorConfig, IterationResult
-from .geo import GeoPoint, PlanarPoint, haversine, project, unproject
-from .pathloss import Calibration, TxParams, friis_rssi, rssi_to_distance
-
-__all__ = [
-    "Calibration", "Estimator", "EstimatorConfig", "GeoPoint", "IterationResult",
-    "Observation", "PlanarPoint", "ReferenceNode", "TxParams", "friis_rssi",
-    "haversine", "project", "rssi_to_distance", "unproject",
-]
-
-__version__ = "0.1.0"

@@ -24,8 +24,8 @@ from .errors import LocalizationError, LogFormatError, NoEstimateError
 from .estimator import R_THRESH_ITERATION, EstimatorConfig
 from .geo import GeoPoint, haversine
 from .pathloss import Calibration, calibration_from_tx, fit_exponent
-from .simulator import (SCENARIOS, evaluate, run_baseline_svd, run_estimator,
-                        simulate_observations, sweep_ma_log)
+from .simulator import (SCENARIOS, run_baseline_svd, run_estimator, simulate_observations,
+                        sweep_ma_log)
 
 CSV_HEADER = "t_s,lat_deg,lon_deg,rssi_dbm"
 PROG = "uavloc"
@@ -187,57 +187,35 @@ def read_report(path: str) -> RunReport:
 # ---------------------------------------------------------------- CLI
 
 
-def _parse_latlon(text: str) -> GeoPoint:
-    try:
-        lat_s, lon_s = text.split(",")
-        return GeoPoint(float(lat_s), float(lon_s))
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(f"expected 'lat,lon': {e}")
+def _type(cast, must: str, ok=lambda v: True):
+    """An argparse type: cast(text) when that reads and ok accepts it, else
+    the usage error `must be <must>, got <text>`."""
+    def parse(text: str):
+        try:
+            v = cast(text)
+            if ok(v):
+                return v
+        except (TypeError, ValueError):  # what argparse itself catches
+            pass
+        raise argparse.ArgumentTypeError(f"must be {must}, got {text}")
+    return parse
 
 
-def _number(text: str, cast, ok, must: str):
-    """cast(text), or an ArgumentTypeError saying it `must` be so when ok
-    rejects it. Each flag type calls this from a function of its own, whose
-    name argparse quotes when cast itself fails."""
-    v = cast(text)
-    if not ok(v):
-        raise argparse.ArgumentTypeError(f"must be {must}, got {v}")
-    return v
-
-
-def _positive(text: str) -> float:
-    return _number(text, float, lambda v: 0 < v < math.inf, "positive and finite")
-
-
-def _finite(text: str) -> float:
-    return _number(text, float, math.isfinite, "finite")
-
-
-def _positive_int(text: str) -> int:
-    return _number(text, int, lambda v: v >= 1, "a positive integer")
-
-
-def _non_negative(text: str) -> float:
-    return _number(text, float, lambda v: 0 <= v < math.inf, "non-negative and finite")
-
-
-def _non_negative_int(text: str) -> int:
-    return _number(text, int, lambda v: v >= 0, "a non-negative integer")
-
-
-def _seed(text: str) -> int:
-    return _number(text, int, lambda v: 0 <= v < 2**32, "an integer in [0, 2**32)")
-
-
-def _r_thresh(text: str):
-    return text if text == R_THRESH_ITERATION else _non_negative_int(text)
-
-
-def _ma_list(text: str):
-    try:
-        return [_positive(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated meters, got {text!r}")
+_float = _type(float, "a number")
+_finite = _type(float, "finite", math.isfinite)
+_positive = _type(float, "positive and finite", lambda v: 0 < v < math.inf)
+_non_negative = _type(float, "non-negative and finite", lambda v: 0 <= v < math.inf)
+_positive_int = _type(int, "a positive integer", lambda v: v >= 1)
+_non_negative_int = _type(int, "a non-negative integer", lambda v: v >= 0)
+_seed = _type(int, "an integer in [0, 2**32)", lambda v: 0 <= v < 2**32)
+_r_thresh = _type(lambda t: t if t == R_THRESH_ITERATION else int(t),
+                  f"{R_THRESH_ITERATION!r} or an integer >= 0",
+                  lambda v: v == R_THRESH_ITERATION or v >= 0)
+_ma_list = _type(lambda t: [float(m) for m in t.split(",")],
+                 "positive and finite meters, comma-separated",
+                 lambda ms: all(0 < m < math.inf for m in ms))
+_latlon = _type(lambda t: GeoPoint(*map(float, t.split(","))),
+                "'lat,lon' with lat in [-90, 90] and lon in [-180, 180]")
 
 
 def _log_command(sub, name: str, func, help: str):
@@ -252,9 +230,9 @@ def _log_command(sub, name: str, func, help: str):
 
 def _add_cal_flags(p):
     p.add_argument("--d0", type=_positive, help="calibration reference distance (m)")
-    p.add_argument("--p0", type=float, help="calibration reference power (dBm)")
-    p.add_argument("--n", type=float, help="path-loss exponent")
-    p.add_argument("--sigma", type=float, help="shadowing std-dev (dB)")
+    p.add_argument("--p0", type=_float, help="calibration reference power (dBm)")
+    p.add_argument("--n", type=_float, help="path-loss exponent")
+    p.add_argument("--sigma", type=_float, help="shadowing std-dev (dB)")
 
 
 def _add_run_flags(p):
@@ -264,7 +242,7 @@ def _add_run_flags(p):
     p.add_argument("--r-thresh", type=_r_thresh, default=EstimatorConfig.r_thresh,
                    help="drop clusters of at most this many rows: an int >= 0 or 'iteration'")
     p.add_argument("--seed", type=_seed, default=EstimatorConfig.seed)
-    p.add_argument("--truth", type=_parse_latlon)
+    p.add_argument("--truth", type=_latlon)
 
 
 def _read_obs(args) -> tuple[ObservationLog, Calibration]:
@@ -306,7 +284,7 @@ def _iteration_record(r, truth: GeoPoint | None):
 def _score(block: dict, estimate: GeoPoint, truth: GeoPoint | None) -> dict:
     """Add the estimate's `error_m` to the block when the truth is known."""
     if truth is not None:
-        block["error_m"] = evaluate(estimate, truth)
+        block["error_m"] = haversine(estimate, truth)
     return block
 
 
@@ -372,7 +350,7 @@ def cmd_sweep_ma(args) -> int:
     truth = args.truth
     if truth is None and "target" in log.meta:
         try:
-            truth = _parse_latlon(log.meta["target"])
+            truth = _latlon(log.meta["target"])
         except argparse.ArgumentTypeError as e:
             raise LocalizationError(f"bad log line '# target {log.meta['target']}': {e}")
     if truth is None:
@@ -427,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cal_flags(p)
 
     p = _log_command(sub, "baseline", cmd_baseline, "plain SVD over all observations")
-    p.add_argument("--truth", type=_parse_latlon)
+    p.add_argument("--truth", type=_latlon)
     _add_cal_flags(p)
 
     p = _log_command(sub, "sweep-ma", cmd_sweep_ma, "best-estimate error per cluster granularity")
@@ -437,12 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cal_flags(p)
 
     p = sub.add_parser("evaluate", help="haversine distance between two points")
-    p.add_argument("--estimate", type=_parse_latlon, required=True)
-    p.add_argument("--truth", type=_parse_latlon, required=True)
+    p.add_argument("--estimate", type=_latlon, required=True)
+    p.add_argument("--truth", type=_latlon, required=True)
     p.set_defaults(func=cmd_evaluate)
 
     p = _log_command(sub, "calibrate", cmd_calibrate, "fit the path-loss exponent from a log")
-    p.add_argument("--truth", type=_parse_latlon, required=True,
+    p.add_argument("--truth", type=_latlon, required=True,
                    help="known transmitter position")
     p.add_argument("--d0", type=_positive, default=100.0,
                    help="reference distance (m), default 100")

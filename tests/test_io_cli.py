@@ -1,6 +1,10 @@
+import argparse
 import gc
 import json
 import math
+import re
+import runpy
+import sys
 import warnings
 
 import pytest
@@ -462,16 +466,17 @@ def test_cli_non_positive_batch_is_a_usage_error(tmp_path, capsys, command, valu
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--ma", "abc", "invalid _positive value: 'abc'"),
-    ("--min-rssi", "x", "invalid _finite value: 'x'"),
-    ("--batch", "2.5", "invalid _positive_int value: '2.5'"),
-    ("--sigma", "x", "invalid _non_negative value: 'x'"),
-    ("--r-thresh", "x", "invalid _r_thresh value: 'x'"),
-    ("--seed", "x", "invalid _non_negative_int value: 'x'"),
+    ("--ma", "abc", "must be positive and finite, got abc"),
+    ("--min-rssi", "x", "must be finite, got x"),
+    ("--batch", "2.5", "must be a positive integer, got 2.5"),
+    ("--sigma", "x", "must be non-negative and finite, got x"),
+    ("--r-thresh", "x", "must be 'iteration' or an integer >= 0, got x"),
+    ("--seed", "x", "must be a non-negative integer, got x"),
 ])
-def test_cli_number_flag_that_does_not_parse_names_its_type(capsys, flag, value, message):
-    # argparse quotes the type function's name; the range messages are
-    # pinned by the tests above. --sigma and --seed are simulate's.
+def test_cli_number_flag_that_does_not_parse_states_its_rule(capsys, flag, value, message):
+    # text that does not parse gets the same message as a value out of
+    # range: the flag's rule and the text given. --sigma and --seed are
+    # simulate's.
     command = (["simulate", "--out", "x.csv"] if flag in ("--sigma", "--seed")
                else ["estimate", "--obs", "x"])
     with pytest.raises(SystemExit) as exc:
@@ -481,8 +486,9 @@ def test_cli_number_flag_that_does_not_parse_names_its_type(capsys, flag, value,
 
 
 @pytest.mark.parametrize("command, flag, value, message", [
-    ("estimate", "--r-thresh", "-1", "must be a non-negative integer, got -1"),
-    ("sweep-ma", "--ma-values", "50,abc", "expected comma-separated meters, got '50,abc'"),
+    ("estimate", "--r-thresh", "-1", "must be 'iteration' or an integer >= 0, got -1"),
+    ("sweep-ma", "--ma-values", "50,abc",
+     "must be positive and finite meters, comma-separated, got 50,abc"),
     ("simulate", "--seed", "-1", "must be a non-negative integer, got -1"),
     # the estimator's seed is 32 bits: a larger one would alias a smaller one
     ("estimate", "--seed", "-1", "must be an integer in [0, 2**32), got -1"),
@@ -495,6 +501,79 @@ def test_cli_flag_out_of_range_or_malformed_list_is_a_usage_error(capsys, comman
         run_cli([command] + io_flag + [f"{flag}={value}"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
+
+
+def _subparsers():
+    """build_parser's subcommands, by name."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# every option of every subcommand that has a type, read from the parser so
+# that a new flag is covered without a new case
+TYPED_FLAGS = [(command, a.option_strings[0], a.type) for command, p in _subparsers().items()
+               for a in p._actions if a.type is not None]
+LOG_COMMANDS = {command for command, p in _subparsers().items()
+                if "--obs" in p._option_string_actions}
+# texts in the shape of a number, a point or a list, each out of some flag's range
+RANGE_PROBES = ["-1", "0", "nan", "inf", "4294967296", "95,0", "0,181", "50,-1"]
+# the calibration flags take any float; Calibration checks them once the
+# log is read, so a bad value exits 1, not 2
+UNRANGED = {(c, f) for c in ("estimate", "baseline", "sweep-ma")
+            for f in ("--p0", "--n", "--sigma")}
+
+
+def _rejects(typ, text: str) -> bool:
+    try:
+        typ(text)
+    except argparse.ArgumentTypeError:
+        return True
+    return False
+
+
+def _usage_error(capsys, argv, flag: str, text: str) -> None:
+    """argv must exit 2 with the one usage-error form and no Python name."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert re.search(rf": error: argument {flag}: must be [^\n]+, got {re.escape(text)}\n\Z",
+                     err), err
+    assert not re.search(r"(?<![\w-])_\w|invalid|value:|unpack|Error", err), err
+
+
+@pytest.mark.parametrize("command, flag, typ", TYPED_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _ in TYPED_FLAGS])
+def test_cli_every_typed_flag_states_its_rule_before_the_log_is_opened(tmp_path, capsys,
+                                                                       command, flag, typ):
+    _usage_error(capsys, [command, f"{flag}=x"], flag, "x")
+    obs = ["--obs", str(tmp_path / "missing.csv")] if command in LOG_COMMANDS else []
+    rejected = [v for v in RANGE_PROBES if _rejects(typ, v)]
+    if (command, flag) in UNRANGED:
+        assert not any(_rejects(typ, v) for v in ("-1", "0", "nan", "inf"))
+    else:
+        assert rejected
+    for value in rejected:
+        _usage_error(capsys, [command] + obs + [f"{flag}={value}"], flag, value)
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers()))
+def test_cli_help_renders(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: uavloc {command} ")
+
+
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["uavloc", "evaluate", "--estimate", "0,0", "--truth", "0,1"])
+    with warnings.catch_warnings():
+        # runpy warns that uavloc.io_cli is already imported
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("uavloc.io_cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "111194.927\n"
 
 
 @pytest.mark.parametrize("command", ["estimate", "sweep-ma"])
