@@ -6,7 +6,8 @@ recognized keys are `# survey <id>`, `# cal d0=<m> p0=<dBm> n=<val>
 sigma=<dB>`, and `# target <lat>,<lon>`. Metadata lines and blank lines may
 appear anywhere: before the header, between data rows and after the last one;
 a later line with the same key replaces an earlier one. CRLF files read the
-same as LF files.
+same as LF files, and a UTF-8 byte order mark before the first line is
+skipped; U+FEFF anywhere else is a character of its line.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def parse_log(path: str) -> ObservationLog:
     fields, linenos = [], []
     saw_header = False
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             for lineno, line in enumerate(f.read().split("\n"), start=1):
                 parts = line.split(",")
                 if len(parts) == 4 and saw_header and line[0] != "#":

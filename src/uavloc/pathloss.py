@@ -99,13 +99,13 @@ def sample_shadowed_rssi(tx: TxParams, d, sigma_db: float, rng: np.random.Genera
     """Draw shadowed RSSI: friis_rssi plus N(0, sigma_db^2) per distance.
 
     For a column of n distances the n normals come from one rng.normal call,
-    which gives the values, in order, of n scalar calls.
+    which gives the values, in order, of n scalar calls. At sigma_db = 0
+    every draw is +0.0, and no Friis value is -0.0, so the result has
+    friis_rssi's bits; the draws still advance rng.
     """
     if not sigma_db >= 0:
         raise ValueError(f"sigma must be >= 0, got {sigma_db}")
     base = friis_rssi(tx, d)
-    if sigma_db == 0.0:
-        return base
     return base + rng.normal(0.0, sigma_db, size=np.shape(base) or None)
 
 

@@ -107,6 +107,17 @@ def test_round_trip_across_antimeridian(lon0):
         back = unproject(o, PlanarPoint(xi, yi))
         assert abs(back.lat - la) < 1e-9
         assert abs(back.lon - lo) < 1e-9
+    # near rows keep the scalar formula's bits, alone and beside a row across
+    # the antimeridian (-lon0); by the pole, near rows lie up to half a turn
+    # away in longitude
+    inward = -math.copysign(1.0, lon0)
+    pole = GeoPoint(89.99, lon0)
+    for c, near in ((o, [(o.lat + 0.001, lon0), (o.lat - 0.002, lon0 + 0.003 * inward)]),
+                    (pole, [(pole.lat, lon0 + turn * inward) for turn in (100.0, 150.0, 179.0)])):
+        want = [tuple(v.hex() for v in scalar_project(c, *p)) for p in near]
+        for rows in (near, near + [(c.lat, -lon0)]):
+            x, y = project(c, *zip(*rows))
+            assert [(a.hex(), b.hex()) for a, b in zip(x.tolist(), y.tolist())][:len(near)] == want
     # a point off the projection range past +-180 degrees is still refused
     with pytest.raises(ValueError, match="longitude"):
         unproject(o, PlanarPoint(math.copysign(2.0 * MAX_PROJECTION_RANGE_M, lon0), 0.0))

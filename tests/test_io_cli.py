@@ -1,12 +1,14 @@
 import argparse
 import gc
 import json
+import logging
 import math
 import re
 import runpy
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -117,7 +119,7 @@ def parse_log_oracle(path: str) -> ObservationLog:
     the file, strip the LF, classify each line, build each row as it comes."""
     log = ObservationLog(rows=[])
     saw_header = False
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
@@ -309,6 +311,40 @@ def test_parse_log_first_of_two_errors_wins_as_in_line_by_line_oracle(tmp_path, 
     with pytest.raises(LogFormatError) as got:
         parse_log(str(path))
     assert (str(got.value), got.value.line) == (str(want.value), want.value.line)
+
+
+def test_parse_log_skips_a_leading_byte_order_mark(tmp_path):
+    # a BOM + LF and a BOM + CRLF copy of a simulated log read as the plain
+    # file does, in parse_log and in the oracle
+    plain = tmp_path / "obs.csv"
+    assert main(["simulate", "--seed", "0", "--duration", "300", "--out", str(plain)]) == 0
+    want = parse_outcome(parse_log, str(plain))
+    assert isinstance(want, tuple) and want[3] == "gtu-sim seed=0"
+    text = plain.read_bytes()
+    for name, data in (("lf", text), ("crlf", text.replace(b"\n", b"\r\n"))):
+        path = tmp_path / f"bom-{name}.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + data)
+        assert parse_outcome(parse_log, str(path)) == want
+        assert parse_outcome(parse_log_oracle, str(path)) == want
+    # U+FEFF anywhere but the first character is a character of its line
+    lines = text.decode("utf-8").split("\n")
+    header = lines.index(CSV_HEADER)
+    bom = "\ufeff"
+    for at, line, error in (
+            (0, bom + bom + lines[0],
+             f"line 1: expected header {CSV_HEADER!r}, got {bom + lines[0]!r}"),
+            (header, bom + CSV_HEADER,
+             f"line {header + 1}: expected header {CSV_HEADER!r}, got {bom + CSV_HEADER!r}"),
+            (header + 1, bom + lines[header + 1],
+             f"line {header + 2}: non-numeric field in {bom + lines[header + 1]!r}"),
+            (header + 2, lines[header + 2].replace(",", "," + bom, 1),
+             f"line {header + 3}: non-numeric field in "
+             f"{lines[header + 2].replace(',', ',' + bom, 1)!r}"),
+            (header + 3, bom + "# note x", f"line {header + 4}: expected 4 fields, got 1")):
+        path = tmp_path / "bom-inside.csv"
+        path.write_bytes("\n".join(lines[:at] + [line] + lines[at + 1:]).encode("utf-8"))
+        assert parse_outcome(parse_log, str(path)) == error
+        assert parse_outcome(parse_log_oracle, str(path)) == error
 
 
 def test_report_round_trip(tmp_path):
@@ -555,6 +591,40 @@ def test_cli_every_typed_flag_states_its_rule_before_the_log_is_opened(tmp_path,
         assert rejected
     for value in rejected:
         _usage_error(capsys, [command] + obs + [f"{flag}={value}"], flag, value)
+
+
+def _process_state():
+    root = logging.getLogger()
+    return (sys.stdout, sys.stderr, list(root.handlers), root.level, list(warnings.filters),
+            np.geterr())
+
+
+def test_cli_main_leaves_the_process_as_it_found_it(tmp_path, capsys, monkeypatch):
+    # the benchmark calls main in-process before its timed loop, so nothing
+    # main sets may outlive the call: not on success, a usage error or a
+    # runtime error. The root logger starts bare, as in a plain process, so
+    # that a logging.basicConfig() in main would show.
+    monkeypatch.setattr(logging.getLogger(), "handlers", [])
+    obs, out = str(tmp_path / "obs.csv"), str(tmp_path / "out")
+    truth = ["--truth", "40.8059866,29.3588991"]
+    runs = {"simulate": (["--duration", "300", "--out", obs], 0),
+            "estimate": (["--obs", obs, "--out", out] + truth, 0),
+            "baseline": (["--obs", obs, "--out", out] + truth, 0),
+            "sweep-ma": (["--obs", obs, "--ma-values", "130,150"], 0),
+            "evaluate": (["--estimate", "0,0"] + truth, 0),
+            "calibrate": (["--obs", obs, "--out", out] + truth, 0)}
+    assert runs.keys() == _subparsers().keys()
+    before = _process_state()
+    for command, (args, status) in runs.items():
+        assert main([command] + args) == status
+        assert _process_state() == before, command
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--obs", obs, "--ma", "abc"])
+    assert exc.value.code == 2
+    assert _process_state() == before
+    assert main(["estimate", "--obs", str(tmp_path / "missing.csv")]) == 1
+    assert _process_state() == before
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", sorted(_subparsers()))

@@ -59,8 +59,14 @@ def test_friis_strictly_decreasing():
 
 
 def test_shadowing_sigma_zero_is_exact():
+    # N(0, 0) draws are +0.0, and no Friis value is -0.0: friis_rssi's bits,
+    # for a scalar and for every row of a column
     rng = np.random.default_rng(0)
-    assert sample_shadowed_rssi(TX_435, 250.0, 0.0, rng) == friis_rssi(TX_435, 250.0)
+    assert (sample_shadowed_rssi(TX_435, 250.0, 0.0, rng).hex()
+            == friis_rssi(TX_435, 250.0).hex())
+    d = np.random.default_rng(7).uniform(1e-3, 5e4, 2_000)
+    got = sample_shadowed_rssi(TX_435, d, 0.0, rng)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in friis_rssi(TX_435, d).tolist()]
 
 
 @pytest.mark.parametrize("sigma", [-1.0, math.nan])

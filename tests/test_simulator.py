@@ -244,8 +244,10 @@ def test_survey_past_the_pole_raises_as_the_per_sample_loop():
 
 
 def test_evaluate():
-    assert evaluate(CENTER, CENTER) == 0.0
-    d = evaluate(GeoPoint(0.0, 0.0), GeoPoint(0.0, 0.001))
+    # the acceptance gate's name for the error of an estimate is haversine itself
+    assert evaluate is haversine
+    assert haversine(CENTER, CENTER) == 0.0
+    d = haversine(GeoPoint(0.0, 0.0), GeoPoint(0.0, 0.001))
     assert d == pytest.approx(111.19, abs=0.1)
 
 
@@ -254,7 +256,7 @@ def test_baseline_zero_noise():
     obs = simulate_observations(sc, 600.0)
     cal = calibration_from_tx(sc.tx, 100.0)
     est = run_baseline_svd(obs, cal, obs[0].pos)
-    assert evaluate(est, sc.target) < 1.0
+    assert haversine(est, sc.target) < 1.0
 
 
 @pytest.mark.parametrize("lon", [179.999, -179.999, 179.99])
@@ -271,7 +273,7 @@ def test_zero_noise_survey_across_antimeridian(lon):
     est = run_estimator(obs, EstimatorConfig(ma=130.0, cal=calibration_from_tx(sc.tx, 100.0),
                                              seed=0))
     estimate, _ = est.best_estimate()
-    assert evaluate(estimate, sc.target) < 1.0
+    assert haversine(estimate, sc.target) < 1.0
 
 
 def test_baseline_degenerate_geometry():

@@ -27,9 +27,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from uavloc.estimator import EstimatorConfig  # noqa: E402
+from uavloc.geo import haversine  # noqa: E402
 from uavloc.pathloss import calibration_from_tx  # noqa: E402
-from uavloc.simulator import (SCENARIOS, evaluate, run_estimator,  # noqa: E402
-                              simulate_observations)
+from uavloc.simulator import SCENARIOS, run_estimator, simulate_observations  # noqa: E402
 
 # name -> (scenario, log seeds, EstimatorConfig fields other than cal and seed)
 WORKLOADS = {
@@ -46,7 +46,7 @@ def errors(scenario: str, seed: int, fields: dict):
     obs = simulate_observations(sc, sc.plan.path_length() / sc.plan.speed)
     cal = calibration_from_tx(sc.tx, 100.0, sc.sigma_db)
     est = run_estimator(obs, EstimatorConfig(cal=cal, seed=seed, **fields))
-    curve = {r.index: evaluate(r.estimate, sc.target) for r in est.history if r.ok}
+    curve = {r.index: haversine(r.estimate, sc.target) for r in est.history if r.ok}
     return curve, est.best_estimate()[1].index if curve else None
 
 
