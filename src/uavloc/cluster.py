@@ -41,6 +41,13 @@ LLOYD_DENSE_MAX_K = 3
 # Squared-chord slack of the survey-diameter pruning, on the unit sphere
 # (at least 0.16 um on the ground; see SurveyDiameter).
 CHORD2_MARGIN = 1e-13
+# Slack per point of the k-means++ running-sum draw, as a fraction of the total
+# weight: 8 * 2^-53, so a window of n points takes a draw only when it lies
+# farther than 8 (n + 2) * 2^-53 from both ends of its cell (see _kmeans_pp_init).
+KMEANS_PP_MARGIN = 8 * 2.0 ** -53
+# Largest total weight the running-sum draw takes: below it no sum of the
+# weights, in any order, can overflow.
+KMEANS_PP_MAX_SUM = 2.0 ** 1000
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,15 +263,70 @@ def _sq_dist(ax, ay, bx, by, dx=None, dy=None):
     return dx
 
 
+def _cdf_draw(d2: np.ndarray, u: float, cdf: np.ndarray):
+    """The index rng.choice(len(d2), p=d2 / d2.sum()) picks with the uniform
+    u, written out without re-validating p: the same CDF (add.accumulate is
+    the sequential sum cumsum runs), built in the buffer cdf, and the same
+    search. With rng.choice itself, gtu-accept runs 1.31x slower per log
+    (q1-q3 1.19-1.40; in-process A/B on benchmark seed set 1, 2 vCPUs, every
+    iteration history identical)."""
+    np.divide(d2, d2.sum(), out=cdf)
+    np.add.accumulate(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(u, side="right")
+
+
 def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: D^2-weighted sampling of initial centers.
 
-    Each weighted draw is rng.choice(n, p=d2 / d2.sum()) written out without
-    re-validating p: the same CDF (add.accumulate is the sequential sum cumsum
-    runs), built in one reused buffer, and the same single uniform, so the same
-    index and the same generator state afterwards. It pays: with rng.choice
-    itself, gtu-accept runs 1.31x slower per log (q1-q3 1.19-1.40; in-process
-    A/B on benchmark seed set 1, 2 vCPUs, every iteration history identical).
+    Each weighted draw picks the index that rng.choice(n, p=d2 / d2.sum())
+    picks, from the same single uniform u, so the generator ends in the same
+    state. A total weight of zero draws rng.integers(n) instead. The exact
+    draw, `_cdf_draw`, builds rng.choice's CDF; each draw first tries a
+    cheaper one and runs the exact one, with the same u, only where the
+    cheap one is not certified. The cheap draw takes the running sum
+    cs = add.accumulate(d2), its total S = cs[n - 1], and
+    c = cs.searchsorted(u * S, "right"). It keeps c when S < KMEANS_PP_MAX_SUM,
+    c < n, cs[c] / S - u > m and (c == 0 or u - cs[c - 1] / S > m), all in
+    floats, with m = KMEANS_PP_MARGIN * (n + 2) = 8 (n + 2) eps, eps = 2^-53.
+    S is zero exactly when d2.sum() is: a float sum of non-negative terms, in
+    any order, is zero only when every term is. A nan or inf S fails the first
+    test, so such a draw is the exact one, as before.
+
+    A kept c is the exact draw's index. Write D_i = d2[0] + ... + d2[i]
+    exactly, D = D_{n-1}, F_i = D_i / D, T = d2.sum() and g = n eps / (1 - n eps),
+    and take n < 2^40 (a larger window does not fit in memory). The weights
+    are non-negative, and finite, since S is.
+    (a) Float addition of non-negative terms errs by at most eps relative,
+        also in the subnormal range, where it is exact. So cs[i] = D_i (1 + a_i)
+        with |a_i| <= g, and S = D (1 + a) with |a| <= g. T, in any order,
+        is within g D of D, so T <= S (1 + g) / (1 - g) < 2 S does not
+        overflow, and 0 < T.
+    (b) The exact draw's quotients are p_j = (d2[j] / T)(1 + e_j) + h_j, with
+        |e_j| <= eps and |h_j| <= 2^-1075, the latter only where d2[j] / T
+        underflows. Its running sum r_i carries each p_j through at most n
+        roundings, so r_i = (D_i / T)(1 + b_i) + H_i with |b_i| <= g and
+        |H_i| <= n 2^-1074. The first term of r_{n-1} is at least
+        (1 - g) / (1 + g) > 1/2, so r_i / r_{n-1} is F_i (1 + b_i) / (1 + b_{n-1})
+        to within 8 n 2^-1074 < 2^-1000.
+    (c) So x_i = fl(cs[i] / S) and cdf_i = fl(r_i / r_{n-1}) each lie within
+        E = 2 g / (1 - g) + eps + 2^-1000 of F_i: each ratio is F_i <= 1 times a
+        factor within 2 g / (1 - g) of 1 (plus (b)'s underflow term), it is
+        at most 1, since a running sum of non-negative terms never
+        decreases, and its division rounds by at most eps + 2^-1075. For
+        n < 2^40, E < (2.001 n + 1.001) eps, so 2 E < m.
+    (d) The CDF never decreases, for the same reason, so the exact index is
+        the number of its entries <= u.
+    (e) Rounding is monotone and m is a float, so a computed difference above
+        m means the exact difference of its operands is above m. Then
+        cdf_{c-1} <= x_{c-1} + 2 E < u - m + 2 E < u, and likewise
+        cdf_c >= x_c - 2 E > u + m - 2 E > u. By (d) the entries before c are
+        below u and those from c on above it, so the exact index is c.
+    On the benchmark's seed-set-1 logs no draw of 15 511 falls back, and
+    gtu-accept runs 0.897x the time per log of the exact draw alone (q1-q3
+    0.883-0.923; loiter 0.994, gtu-default 1.001, identical-copy controls
+    1.000, 1.001 and 0.987; in-process A/B, 2 vCPUs, every iteration history
+    identical).
 
     The running minimum d2 starts at +inf, and each chosen centre's row is
     folded into it just before the next draw (min(inf, d) is d), so the last
@@ -284,17 +346,20 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
             return _sq_dist(x, y, *pts[c].tolist(), buf, dy)
     chosen = [rng.integers(n)]
     d2 = np.full(n, np.inf)
-    cdf = np.empty(n)
+    cs = np.empty(n)
+    m = KMEANS_PP_MARGIN * (n + 2)
     for _ in range(1, k):
         np.minimum(d2, row(chosen[-1]), out=d2)
-        total = d2.sum()
+        np.add.accumulate(d2, out=cs)
+        total = cs.item(-1)
         if total == 0.0:
             c = rng.integers(n)
         else:
-            np.divide(d2, total, out=cdf)
-            np.add.accumulate(cdf, out=cdf)
-            cdf /= cdf[-1]
-            c = cdf.searchsorted(rng.random(), side="right")
+            u = rng.random()
+            c = cs.searchsorted(u * total, "right")
+            if not (total < KMEANS_PP_MAX_SUM and c < n and cs.item(c) / total - u > m
+                    and (c == 0 or u - cs.item(c - 1) / total > m)):
+                c = _cdf_draw(d2, u, cs)
         chosen.append(c)
     return pts[chosen]
 
@@ -351,14 +416,20 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray):
     settled = False
     sse_history = []
     shift = math.inf
+    # The reductions below call the ufuncs' own reduce (np.minimum.reduce for
+    # .min(), and so on), the C reductions the array methods wrap, and the
+    # test mask's nonzero() for np.flatnonzero: loiter runs 0.973x the time
+    # per log of the method forms (q1-q3 0.947-0.991; in-process A/B on
+    # benchmark seed set 1, 2 vCPUs, every iteration history identical; an
+    # identical-copy control reads 1.001).
     for step in range(KMEANS_MAX_ITER + 1):
         if dense:
             d2 = _sq_dist(cx[:, None], cy[:, None], x, y)
             own = d2.argmin(axis=0)
-            # settled: no label moves, and the last update (its counts) emptied no cluster
-            settled = step and counts.all() and (own == labels).all()
+            # settled: no label moves, and the last update emptied no cluster
+            settled = step and filled and np.logical_and.reduce(own == labels)
             labels = own
-            nearest = d2.min(axis=0)
+            nearest = np.minimum.reduce(d2, axis=0)
         else:
             if step:
                 lim -= shift * (1.0 + LLOYD_MARGIN)
@@ -366,7 +437,7 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray):
                 cy.take(labels, out=root)
                 _sq_dist(x, y, nearest, root, nearest, root)
                 np.sqrt(nearest, out=root)
-                stale = np.flatnonzero(np.greater_equal(root, lim, out=mask))
+                stale = np.greater_equal(root, lim, out=mask).nonzero()[0]
             m = len(stale)
             d2 = _sq_dist(cx[:, None], cy[:, None], x[stale], y[stale])
             own = d2.argmin(axis=0)
@@ -376,29 +447,31 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray):
             own += cols[:m]  # each point's own entry, as a flat index
             nearest[stale] = flat[own]
             flat[own] = np.inf
-            lim[stale] = (np.sqrt(d2.min(axis=0)) - LLOYD_FLOOR_M) / (1.0 + LLOYD_MARGIN)
+            runner_up = np.sqrt(np.minimum.reduce(d2, axis=0))
+            lim[stale] = (runner_up - LLOYD_FLOOR_M) / (1.0 + LLOYD_MARGIN)
         if shift < KMEANS_TOL_M or step == KMEANS_MAX_ITER:
             break
-        sse_history.append(float(nearest.sum()))
+        sse_history.append(float(np.add.reduce(nearest)))
         if settled:
             # A fixed point: the centres are these very labels' means, so the
             # next update gives them again bit for bit, and its step these labels.
             break
         # bincount sums members in index order, as a per-cluster mean does
         counts = np.bincount(labels, minlength=k)
+        filled = np.logical_and.reduce(counts)
         sum_x = np.bincount(labels, weights=x, minlength=k)
         sum_y = np.bincount(labels, weights=y, minlength=k)
         # an empty cluster divides its zero sums by 1 and is reseeded below
         divisor = np.maximum(counts, 1)
         new_cx = sum_x / divisor
         new_cy = sum_y / divisor
-        if not counts.all():
+        if not filled:
             # reseed empty clusters at the point farthest from its centroid
             empty = counts == 0
             far = np.argmax(nearest)
             new_cx[empty] = x[far]
             new_cy[empty] = y[far]
-        shift = math.sqrt(_sq_dist(new_cx, new_cy, cx, cy).max())
+        shift = math.sqrt(np.maximum.reduce(_sq_dist(new_cx, new_cy, cx, cy)))
         cx, cy = new_cx, new_cy
     return np.column_stack([cx, cy]), labels, sse_history
 

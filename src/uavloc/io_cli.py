@@ -181,7 +181,7 @@ def write_report(report: RunReport, path: str) -> None:
 
 
 def read_report(path: str) -> RunReport:
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         return RunReport(**json.load(f))
 
 

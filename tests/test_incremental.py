@@ -4,7 +4,9 @@ The survey diameter is folded in batch by batch and pruned by chord length,
 Lloyd skips the distance rows its bounds rule out, takes centres from
 bincount sums and, on its dense path, stops at a fixed point, and reference
 selection takes each cluster's first strongest member in row order; all
-must give exactly the bits of the full computation.
+must give exactly the bits of the full computation. k-means++ takes each
+draw from a running sum only where a bound certifies it is the exact CDF's
+index, so its tests also script the uniform onto the CDF's boundaries.
 The oracles below are the full-computation implementations they replaced.
 k-means++ seeding has a dense path for windows of at most KMEANS_DENSE_MAX_N
 points, and Lloyd for those and for at most LLOYD_DENSE_MAX_K centres, so
@@ -12,6 +14,7 @@ their oracle tests run each case on both paths.
 """
 
 import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -114,6 +117,40 @@ def kmeans_path(bound):
         mp.setattr(cluster, "KMEANS_DENSE_MAX_N", bound)
         mp.setattr(cluster, "LLOYD_DENSE_MAX_K", bound)
         yield
+
+
+class StubRng:
+    """Stands in for a Generator: integers() is gen's, and random() returns
+    the scripted uniforms in turn, or gen's when none are given."""
+
+    def __init__(self, gen, uniforms=None):
+        self.gen, self.uniforms = gen, uniforms
+        self.randoms = 0
+
+    def integers(self, n):
+        return self.gen.integers(n)
+
+    def random(self):
+        self.randoms += 1
+        return self.gen.random() if self.uniforms is None else self.uniforms.pop(0)
+
+
+def choice_index(d2, u):
+    """The index rng.choice(len(d2), p=d2 / d2.sum()) picks with the uniform u,
+    by the steps numpy's Generator.choice takes."""
+    cdf = (d2 / d2.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(u, side="right")
+
+
+@contextlib.contextmanager
+def exact_draws():
+    """Yields a list that grows by one for each draw that runs the exact CDF."""
+    calls = []
+    draw = cluster._cdf_draw
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cluster, "_cdf_draw", lambda *a: calls.append(1) or draw(*a))
+        yield calls
 
 
 def survey(centre, box, offsets):
@@ -238,18 +275,22 @@ def test_lloyd_exact_ties_on_integer_grid(case):
     st.integers(1, n), st.integers(0, 2**32 - 1))))
 def test_kmeans_pp_draw_matches_rng_choice(case):
     # grid points repeat, so many weights are zero and some draws have total 0;
-    # the written-out draw must pick what rng.choice picks and use the same
-    # randomness, leaving the generator in the same state
+    # the draw must pick what rng.choice picks and use the same randomness,
+    # leaving the generator in the same state. A margin of 1 certifies no
+    # running-sum draw, so every weighted draw runs the exact CDF alone.
     pts, k, seed = case
     pts = np.asarray(pts, dtype=float)
     want_rng = np.random.default_rng(seed)
     want = kmeans_pp_oracle(pts, k, want_rng)
-    for bound in PATH_BOUNDS:
-        got_rng = np.random.default_rng(seed)
-        with kmeans_path(bound):
-            got = _kmeans_pp_init(pts, k, got_rng)
+    for bound, margin in itertools.product(PATH_BOUNDS, (cluster.KMEANS_PP_MARGIN, 1.0)):
+        rng = StubRng(np.random.default_rng(seed))
+        with kmeans_path(bound), pytest.MonkeyPatch.context() as mp, exact_draws() as exact:
+            mp.setattr(cluster, "KMEANS_PP_MARGIN", margin)
+            got = _kmeans_pp_init(pts, k, rng)
         assert np.array_equal(bits(got), bits(want))
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert rng.gen.bit_generator.state == want_rng.bit_generator.state
+        if margin == 1.0:
+            assert len(exact) == rng.randoms
 
 
 @pytest.mark.parametrize("k", [1, 2, 7])
@@ -263,6 +304,64 @@ def test_kmeans_pp_init_computes_no_row_for_the_last_centre(monkeypatch, k):
     with kmeans_path(0):
         _kmeans_pp_init(pts, k, np.random.default_rng(k))
     assert len(rows) == k - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(coords, coords), min_size=n, max_size=n), st.integers(0, 2**32 - 1))))
+def test_kmeans_pp_draw_at_every_cdf_boundary(case):
+    # a uniform equal to a CDF entry, or one float either side of it, is where
+    # the running-sum draw can disagree with the CDF; the index drawn must be
+    # the CDF's (with KMEANS_PP_MARGIN = 0, this test fails)
+    pts, seed = case
+    pts = np.asarray(pts, dtype=float)
+    first = np.random.default_rng(seed).integers(len(pts))
+    d2 = np.sum((pts - pts[first]) ** 2, axis=1)
+    if d2.sum() == 0.0:
+        return
+    cdf = (d2 / d2.sum()).cumsum()
+    cdf /= cdf[-1]
+    uniforms = {u for c in cdf.tolist() for u in (np.nextafter(c, -1.0), c, np.nextafter(c, 2.0))
+                if 0.0 <= u < 1.0}
+    for u in sorted(uniforms):
+        want = pts[[first, choice_index(d2, u)]]
+        for bound in PATH_BOUNDS:
+            with kmeans_path(bound):
+                got = _kmeans_pp_init(pts, 2, StubRng(np.random.default_rng(seed), [u]))
+            assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("bound", PATH_BOUNDS)
+def test_kmeans_pp_total_past_the_headroom_takes_the_exact_draw(bound):
+    # weights near 1e302 sum to a finite total above KMEANS_PP_MAX_SUM: every
+    # weighted draw runs the exact CDF, and picks what rng.choice picks
+    pts = np.random.default_rng(5).uniform(-1e151, 1e151, size=(40, 2))
+    want_rng = np.random.default_rng(5)
+    want = kmeans_pp_oracle(pts, 5, want_rng)
+    rng = StubRng(np.random.default_rng(5))
+    with kmeans_path(bound), exact_draws() as exact:
+        got = _kmeans_pp_init(pts, 5, rng)
+    assert np.array_equal(bits(got), bits(want))
+    assert rng.gen.bit_generator.state == want_rng.bit_generator.state
+    assert len(exact) == rng.randoms == 4
+
+
+@pytest.mark.parametrize("bound", PATH_BOUNDS)
+def test_kmeans_pp_infinite_total_takes_the_exact_draw(bound):
+    # squared distances past the float range make the total inf (numpy warns
+    # of the overflow and of inf / inf): the draw runs the exact CDF, whose
+    # nan entries put it at index 0, as before
+    pts = np.random.default_rng(6).uniform(-1e155, 1e155, size=(40, 2))
+    first = np.random.default_rng(6).integers(40)
+    for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = np.sum((pts - pts[first]) ** 2, axis=1)
+            want = pts[[first, choice_index(d2, u)]]
+            with kmeans_path(bound), exact_draws() as exact:
+                got = _kmeans_pp_init(pts, 2, StubRng(np.random.default_rng(6), [u]))
+        assert np.isinf(d2).any()
+        assert np.array_equal(bits(got), bits(want))
+        assert len(exact) == 1
 
 
 @pytest.mark.parametrize("bound", PATH_BOUNDS)

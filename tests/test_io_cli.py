@@ -360,6 +360,16 @@ def test_report_round_trip(tmp_path):
     assert read_report(str(path)) == report
 
 
+def test_read_report_skips_a_leading_byte_order_mark(tmp_path):
+    # a BOM copy of a written report reads back as the plain file does
+    report = RunReport(config={"ma": 20.0}, iterations=[{"index": 1, "status": "ok"}],
+                       best={"index": 1, "lat": 40.8, "lon": 29.36})
+    plain, bom = tmp_path / "run.json", tmp_path / "bom.json"
+    write_report(report, str(plain))
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_report(str(bom)) == read_report(str(plain)) == report
+
+
 def test_empty_history_report(tmp_path):
     report = RunReport(config={}, iterations=[])
     path = tmp_path / "run.json"
